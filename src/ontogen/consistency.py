@@ -62,21 +62,22 @@ def okg_concepts(kg: KnowledgeGraph) -> set[str]:
     return out
 
 
-def _descendants_or_self(kg: KnowledgeGraph, c: str) -> set[str]:
-    edges = kg.subclass_edges()
-    out = {c}
+def _reachable(edges: set[tuple[str, str]], start: frozenset[str]) -> set[str]:
+    """`start` plus every class reachable from it along (from, to) edges."""
+    out = set(start)
     changed = True
     while changed:
         changed = False
-        for child, parent in edges:
-            if parent in out and child not in out:
-                out.add(child)
+        for a, b in edges:
+            if a in out and b not in out:
+                out.add(b)
                 changed = True
     return out
 
 
 def _instances_of(kg: KnowledgeGraph, c: str) -> set[Term]:
-    classes = _descendants_or_self(kg, c)
+    """Entities typed c or, through the graph's subclass edges, a descendant."""
+    classes = _reachable({(parent, child) for child, parent in kg.subclass_edges()}, frozenset({c}))
     by_class = kg.entities_by_class()
     out: set[Term] = set()
     for cls in classes:
@@ -84,17 +85,18 @@ def _instances_of(kg: KnowledgeGraph, c: str) -> set[Term]:
     return out
 
 
-def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
-    """Predicates used on instances typed c, directly or via subclass."""
+def _concept_slice(kg: KnowledgeGraph, c: str) -> list[Triple]:
+    """Data statements about c's instances, in canonical order."""
     instances = _instances_of(kg, c)
     if not instances:
         log.warning("concept %s has no instances in the generated graph", c)
-        return set()
-    return {
-        st.triple.predicate.value
-        for st in kg.data_statements
-        if st.triple.subject in instances
-    }
+        return []
+    return [st.triple for st in kg.data_statements if st.triple.subject in instances]
+
+
+def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
+    """Predicates used on instances typed c, directly or via subclass."""
+    return {t.predicate.value for t in _concept_slice(kg, c)}
 
 
 def _allowed_properties(on: OntologySchema, c: str) -> set[str]:
@@ -111,32 +113,10 @@ def _allowed_properties(on: OntologySchema, c: str) -> set[str]:
 def epsilon_for_concept(kg: KnowledgeGraph, on: OntologySchema, c: str) -> ConceptInconsistency:
     """Count the properties on c's instances that the target ontology does
     not declare for c, collecting the statements that use them."""
-    used = concept_properties(kg, c)
-    offending = used - _allowed_properties(on, c)
-    instances = _instances_of(kg, c)
-    affected = sorted(
-        (
-            st.triple
-            for st in kg.data_statements
-            if st.triple.subject in instances and st.triple.predicate.value in offending
-        ),
-        key=Triple.sort_key,
-    )
+    about = _concept_slice(kg, c)
+    offending = {t.predicate.value for t in about} - _allowed_properties(on, c)
+    affected = [t for t in about if t.predicate.value in offending]
     return ConceptInconsistency(c, offending, len(offending), affected)
-
-
-def _union_closure(kg: KnowledgeGraph, on: OntologySchema, classes: set[str]) -> set[str]:
-    """Superclass closure over both the graph's and the target's edges."""
-    edges = kg.subclass_edges() | on.subclass_edges
-    out = set(classes)
-    changed = True
-    while changed:
-        changed = False
-        for child, parent in edges:
-            if child in out and parent not in out:
-                out.add(parent)
-                changed = True
-    return out
 
 
 def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRangeViolation]:
@@ -145,6 +125,17 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
     undeclared properties never violate."""
     violations: list[DomainRangeViolation] = []
     class_map = kg.class_map()
+    # superclass closure over both the graph's and the target's edges,
+    # computed once per distinct set of asserted classes
+    edges = kg.subclass_edges() | on.subclass_edges
+    closures: dict[frozenset[str], set[str]] = {}
+
+    def closure(found: set[str]) -> set[str]:
+        key = frozenset(found)
+        if key not in closures:
+            closures[key] = _reachable(edges, key)
+        return closures[key]
+
     for st in kg.data_statements:
         t = st.triple
         decl = on.properties.get(t.predicate.value)
@@ -152,7 +143,7 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
             continue
         if decl.domains:
             found = class_map.get(t.subject, set())
-            if found and not (_union_closure(kg, on, found) & decl.domains):
+            if found and not (closure(found) & decl.domains):
                 violations.append(
                     DomainRangeViolation(
                         t, "domain", t.predicate.value, frozenset(decl.domains), frozenset(found)
@@ -169,7 +160,7 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
                     )
             elif class_ranges:
                 found = class_map.get(t.object, set())
-                if found and not (_union_closure(kg, on, found) & class_ranges):
+                if found and not (closure(found) & class_ranges):
                     violations.append(
                         DomainRangeViolation(
                             t, "range", t.predicate.value, frozenset(class_ranges), frozenset(found)

@@ -70,6 +70,7 @@ def detect_disjointness_violations(
     violations: list[Violation] = []
     seen: set[tuple[Triple, Triple, str]] = set()
     class_map = kg.class_map()
+    witnesses: dict[tuple[str, str], tuple[str, str] | None] = {}
     for st in kg.data_statements:
         t = st.triple
         decl = reference.properties.get(t.predicate.value)
@@ -84,7 +85,9 @@ def detect_disjointness_violations(
             hit = None
             for c in sorted(class_map.get(entity, set()) & reference.classes):
                 for c2 in sorted(set(decl_classes) & reference.classes):
-                    axiom = reference.disjoint_witness(c, c2)
+                    if (c, c2) not in witnesses:
+                        witnesses[c, c2] = reference.disjoint_witness(c, c2)
+                    axiom = witnesses[c, c2]
                     if axiom is not None:
                         hit = (c, c2, axiom)
                         break

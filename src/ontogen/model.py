@@ -5,6 +5,11 @@ exposes schema statements (type assertions, subclass and domain/range
 declarations) separately from scored data statements.  Graph values are
 treated as immutable once a build phase hands them off; mutation happens
 only inside single-owner build steps.
+
+The canonical statement order is sorted once, on the first ordered read,
+and kept until the set of triples changes: an `add` of a new triple or a
+successful `remove` drops it, while raising the confidence of an existing
+triple keeps it.  `copy()` shares the kept order with the copy.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ class KnowledgeGraph:
 
     def __init__(self) -> None:
         self._store: dict[Triple, ScoredTriple] = {}
+        # canonical order of the store's keys; None until the next ordered read
+        self._order: list[Triple] | None = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -167,6 +174,8 @@ class KnowledgeGraph:
     def add(self, st: ScoredTriple) -> None:
         """Insert a statement; an existing copy keeps the max confidence."""
         old = self._store.get(st.triple)
+        if old is None:
+            self._order = None
         if old is None or st.confidence > old.confidence:
             self._store[st.triple] = st
 
@@ -174,22 +183,32 @@ class KnowledgeGraph:
         self.add(ScoredTriple(t, confidence, source_id))
 
     def remove(self, t: Triple) -> bool:
-        return self._store.pop(t, None) is not None
+        if self._store.pop(t, None) is None:
+            return False
+        self._order = None
+        return True
+
+    def _canonical(self) -> list[Triple]:
+        if self._order is None:
+            self._order = sorted(self._store, key=Triple.sort_key)
+        return self._order
 
     def statements(self) -> list[ScoredTriple]:
-        """All statements sorted canonically."""
-        return sorted(self._store.values(), key=lambda s: s.triple.sort_key())
+        """All statements sorted canonically, at their current confidence."""
+        store = self._store
+        return [store[t] for t in self._canonical()]
 
     def triples(self) -> list[Triple]:
-        return sorted(self._store, key=Triple.sort_key)
+        return list(self._canonical())
 
     @property
     def schema_statements(self) -> list[Triple]:
-        return [t for t in self.triples() if is_schema_triple(t)]
+        return [t for t in self._canonical() if is_schema_triple(t)]
 
     @property
     def data_statements(self) -> list[ScoredTriple]:
-        return [s for s in self.statements() if not is_schema_triple(s.triple)]
+        store = self._store
+        return [store[t] for t in self._canonical() if not is_schema_triple(t)]
 
     @property
     def provenance(self) -> dict[Triple, str]:
@@ -205,21 +224,14 @@ class KnowledgeGraph:
     def copy(self) -> "KnowledgeGraph":
         kg = KnowledgeGraph()
         kg._store = dict(self._store)
+        kg._order = self._order  # never mutated in place, so safe to share
         return kg
 
     # ------------------------------------------------------------------
     # schema helpers
 
     def type_assertions(self) -> list[Triple]:
-        return [t for t in self.triples() if t.predicate.value == RDF_TYPE]
-
-    def classes_of(self, entity: Term) -> set[str]:
-        """Directly asserted class IRIs of an entity."""
-        out = set()
-        for t in self._store:
-            if t.predicate.value == RDF_TYPE and t.subject == entity and t.object.is_iri:
-                out.add(t.object.value)
-        return out
+        return [t for t in self._canonical() if t.predicate.value == RDF_TYPE]
 
     def class_map(self) -> dict[Term, set[str]]:
         """Asserted classes for every typed entity, computed in one pass."""

@@ -27,6 +27,10 @@ LRD_CAP = 1e12
 #: largest kept-statement sample mixed into the band's LOF context
 CONTEXT_POOL = 512
 
+#: rows of the LOF distance matrix computed per block, bounding the
+#: difference tensor at LOF_BLOCK x n x dims
+LOF_BLOCK = 256
+
 
 class RefineError(ValueError):
     """Bad configuration or inapplicable LOF call."""
@@ -109,8 +113,10 @@ def lof_scores(points, k: int) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise RefineError("points must be finite")
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = np.empty((n, n))
+    for start in range(0, n, LOF_BLOCK):
+        diff = pts[start : start + LOF_BLOCK, None, :] - pts[None, :, :]
+        dist[start : start + LOF_BLOCK] = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
 
     kdist = np.sort(dist, axis=1)[:, k - 1]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import fixture_factory as ff
@@ -9,6 +10,7 @@ from ontogen.consistency import (
     okg_concepts,
 )
 from ontogen.model import (
+    LITERAL_RANGE,
     KnowledgeGraph,
     OntologySchema,
     PropertyDecl,
@@ -151,6 +153,112 @@ class TestDomainRangeCheck:
         assert len(violations) == 8
         assert sum(1 for v in violations if v.position == "domain") == 5
         assert sum(1 for v in violations if v.position == "range") == 3
+
+
+def domain_range_case(seed: int) -> tuple[KnowledgeGraph, OntologySchema]:
+    """Random graph/target pair whose subclass edges are split between the
+    graph and the target, so a superclass chain can cross from one to the other."""
+    rng = np.random.default_rng(seed)
+    classes = [f"http://example.org/dr/class{i}" for i in range(8)]
+    props = [iri(f"dr/p{i}") for i in range(8)]
+    subclass = Term.iri(RDFS_SUBCLASS_OF)
+    kg = KnowledgeGraph()
+    on = OntologySchema()
+    on.classes = set(classes[:6])
+    for i in range(1, 8):
+        if rng.random() < 0.8:
+            parent = classes[int(rng.integers(0, i))]
+            if rng.random() < 0.5:
+                kg.add_triple(Triple(Term.iri(classes[i]), subclass, Term.iri(parent)), 0.9)
+            else:
+                on.subclass_edges.add((classes[i], parent))
+    for p in props[:6]:
+        decl = PropertyDecl()
+        decl.domains = {classes[int(i)] for i in rng.choice(8, size=int(rng.integers(0, 3)), replace=False)}
+        decl.ranges = {classes[int(i)] for i in rng.choice(8, size=int(rng.integers(0, 3)), replace=False)}
+        if rng.random() < 0.4:
+            decl.ranges.add(LITERAL_RANGE)
+        on.properties[p.value] = decl
+    entities = [iri(f"dr/e{i}") for i in range(30)]
+    for e in entities:
+        for c in rng.choice(8, size=int(rng.integers(0, 3)), replace=False):
+            kg.add_triple(Triple(e, RDF_TYPE_T, Term.iri(classes[int(c)])), 0.9)
+        for _ in range(4):
+            p = props[int(rng.integers(len(props)))]
+            if rng.random() < 0.3:
+                obj = Term.literal(str(int(rng.integers(0, 100))))
+            else:
+                obj = entities[int(rng.integers(len(entities)))]
+            kg.add_triple(Triple(e, p, obj), 0.8)
+    on.validate()
+    return kg, on
+
+
+def brute_force_domain_range(kg: KnowledgeGraph, on: OntologySchema) -> list[tuple]:
+    """Per-statement re-derivation: the superclass closure over the graph's
+    and the target's edges is recomputed from scratch for every endpoint."""
+    types: dict[Term, set[str]] = {}
+    for t in kg.triples():
+        if t.predicate.value == RDF_TYPE and t.object.is_iri:
+            types.setdefault(t.subject, set()).add(t.object.value)
+
+    def supers(classes: set[str]) -> set[str]:
+        edges = kg.subclass_edges() | on.subclass_edges
+        out = set(classes)
+        while True:
+            extra = {parent for child, parent in edges if child in out} - out
+            if not extra:
+                return out
+            out |= extra
+
+    found_violations = []
+    for st in kg.data_statements:
+        t = st.triple
+        decl = on.properties.get(t.predicate.value)
+        if decl is None:
+            continue
+        found = types.get(t.subject, set())
+        if decl.domains and found and not supers(found) & decl.domains:
+            found_violations.append((t, "domain", frozenset(decl.domains), frozenset(found)))
+        if not decl.ranges:
+            continue
+        if t.object.is_literal:
+            if LITERAL_RANGE not in decl.ranges:
+                found_violations.append((t, "range", frozenset(decl.ranges), frozenset()))
+            continue
+        class_ranges = decl.ranges - {LITERAL_RANGE}
+        found = types.get(t.object, set())
+        if class_ranges and found and not supers(found) & class_ranges:
+            found_violations.append((t, "range", frozenset(class_ranges), frozenset(found)))
+    return found_violations
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomized_domain_range_matches_brute_force(seed):
+    kg, on = domain_range_case(seed)
+    got = domain_range_check(kg, on)
+    assert [(v.triple, v.position, v.expected, v.found) for v in got] == brute_force_domain_range(kg, on)
+    assert all(v.property == v.triple.predicate.value for v in got)
+
+
+def test_domain_range_cases_need_both_edge_sources():
+    """The random cases include endpoints whose declared class is reached only
+    through the graph's edges, and others reached only through the target's."""
+    via_graph = via_target = 0
+    for seed in range(12):
+        kg, on = domain_range_case(seed)
+        both = domain_range_check(kg, on)
+        graph_only = KnowledgeGraph()
+        for st in kg.statements():
+            if st.triple.predicate.value != RDFS_SUBCLASS_OF:
+                graph_only.add(st)
+        target_only = OntologySchema(
+            classes=set(on.classes), properties=on.properties, subclass_edges=set()
+        )
+        via_graph += len(domain_range_check(graph_only, on)) > len(both)
+        via_target += len(domain_range_check(kg, target_only)) > len(both)
+        assert len(domain_range_check(graph_only, target_only)) >= len(both)
+    assert via_graph and via_target
 
 
 def brute_force_offending_pairs(kg: KnowledgeGraph, on: OntologySchema) -> set[tuple[str, str]]:

@@ -108,6 +108,107 @@ class TestKnowledgeGraph:
         assert kg.provenance[t] == "gen-1"
 
 
+def _views(kg: KnowledgeGraph) -> tuple:
+    return (
+        kg.statements(),
+        kg.triples(),
+        kg.data_statements,
+        kg.class_map(),
+        kg.entities_by_class(),
+        kg.subclass_edges(),
+    )
+
+
+def _rebuilt(expected: dict[Triple, ScoredTriple]) -> KnowledgeGraph:
+    """A fresh graph holding exactly `expected`, inserted in reverse order."""
+    kg = KnowledgeGraph()
+    for st in reversed(list(expected.values())):
+        kg.add(st)
+    return kg
+
+
+class TestCanonicalOrderCache:
+    """Ordered reads after each kind of mutation match a graph built from scratch."""
+
+    @pytest.fixture
+    def state(self) -> tuple[KnowledgeGraph, dict[Triple, ScoredTriple]]:
+        sts = [
+            ScoredTriple(Triple(iri("Sub"), Term.iri(RDFS_SUBCLASS_OF), iri("Super")), 0.9),
+            ScoredTriple(Triple(iri("m"), Term.iri(RDF_TYPE), iri("Sub")), 0.9),
+            ScoredTriple(Triple(iri("a"), Term.iri(RDF_TYPE), iri("Super")), 0.8),
+            ScoredTriple(triple("m", "p", "a"), 0.6),
+            ScoredTriple(Triple(iri("a"), iri("q"), Term.literal("v")), 0.4),
+            ScoredTriple(triple("b", "p", "m"), 0.7),
+        ]
+        kg = KnowledgeGraph()
+        for s in sts:
+            kg.add(s)
+        _views(kg)  # build the cached order before mutating
+        return kg, {s.triple: s for s in sts}
+
+    def test_add_new_triple(self, state):
+        kg, expected = state
+        for s in (
+            ScoredTriple(triple("0", "p", "m"), 0.5),
+            ScoredTriple(Triple(iri("b"), Term.iri(RDF_TYPE), iri("Sub")), 0.9),
+            ScoredTriple(Triple(iri("Super"), Term.iri(RDFS_SUBCLASS_OF), iri("Top")), 0.9),
+        ):
+            kg.add(s)
+            expected[s.triple] = s
+            assert _views(kg) == _views(_rebuilt(expected))
+
+    def test_readd_with_higher_confidence(self, state):
+        kg, expected = state
+        stronger = ScoredTriple(triple("m", "p", "a"), 0.95)
+        kg.add(stronger)
+        expected[stronger.triple] = stronger
+        assert _views(kg) == _views(_rebuilt(expected))
+        assert stronger in kg.statements() and stronger in kg.data_statements
+        kg.add(ScoredTriple(triple("m", "p", "a"), 0.1))
+        assert _views(kg) == _views(_rebuilt(expected))
+
+    def test_remove(self, state):
+        kg, expected = state
+        for t in (triple("m", "p", "a"), Triple(iri("m"), Term.iri(RDF_TYPE), iri("Sub"))):
+            assert kg.remove(t)
+            del expected[t]
+            assert _views(kg) == _views(_rebuilt(expected))
+        assert not kg.remove(triple("m", "p", "a"))
+        assert _views(kg) == _views(_rebuilt(expected))
+
+    def test_copy_then_mutate_only_the_copy(self, state):
+        kg, expected = state
+        dup = kg.copy()
+        dup_expected = dict(expected)
+        added = ScoredTriple(triple("c", "p", "a"), 0.5)
+        stronger = ScoredTriple(triple("b", "p", "m"), 0.99)
+        removed = Triple(iri("Sub"), Term.iri(RDFS_SUBCLASS_OF), iri("Super"))
+        dup.add(added)
+        dup.add(stronger)
+        dup.remove(removed)
+        dup_expected[added.triple] = added
+        dup_expected[stronger.triple] = stronger
+        del dup_expected[removed]
+        assert _views(dup) == _views(_rebuilt(dup_expected))
+        assert _views(kg) == _views(_rebuilt(expected))
+
+    def test_mutating_returned_lists_does_not_leak(self, state):
+        kg, expected = state
+        for read in (
+            lambda: kg.statements(),
+            lambda: kg.triples(),
+            lambda: kg.data_statements,
+            lambda: kg.schema_statements,
+            lambda: kg.type_assertions(),
+        ):
+            first = read()
+            snapshot = list(first)
+            first.reverse()
+            first.append(first[0])
+            assert read() == snapshot
+        assert _views(kg) == _views(_rebuilt(expected))
+
+
 def brute_force_components(edges: list[tuple[Term, Term]]) -> list[frozenset[Term]]:
     """Independent union-find oracle over an undirected edge list."""
     nodes = {n for e in edges for n in e}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ontogen.model import KnowledgeGraph, RDF_TYPE, ScoredTriple, Term, Triple
 from ontogen.refinement import (
+    LOF_BLOCK,
     LRD_CAP,
     RefineConfig,
     RefineError,
@@ -102,6 +103,13 @@ class TestLofScores:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1, 1, (n, dim))
         np.testing.assert_allclose(lof_scores(pts, k), brute_force_lof(pts.tolist(), k), atol=1e-9)
+
+    def test_oracle_across_distance_blocks(self):
+        # more points than one distance block, with duplicates straddling a block edge
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1, 1, (LOF_BLOCK + 45, 5))
+        pts[LOF_BLOCK - 3 : LOF_BLOCK + 3] = pts[0]
+        np.testing.assert_allclose(lof_scores(pts, 5), brute_force_lof(pts.tolist(), 5), atol=1e-9)
 
     def test_uniform_hypercube_median_near_one(self):
         rng = np.random.default_rng(3)
