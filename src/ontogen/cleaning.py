@@ -252,25 +252,27 @@ def _clean_html(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
     return kept, removed + (len(segments) - len(kept))
 
 
+def _strip_ns(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1].lower()
+
+
+def _html_elements(node: HtmlNode):
+    """(tag, direct text) pairs under a tolerant HTML tree: the fallback
+    walker for a malformed feed or document."""
+    for child in node.children:
+        if isinstance(child, HtmlNode):
+            yield child.tag, "".join(c for c in child.children if isinstance(c, str))
+            yield from _html_elements(child)
+
+
 def _iter_xml_elements(text: str):
     try:
         root = ET.fromstring(text)
     except ET.ParseError:
-        # malformed feed or document: fall back to the tolerant HTML walker
-        def walk(node: HtmlNode):
-            for child in node.children:
-                if isinstance(child, HtmlNode):
-                    yield child.tag, "".join(c for c in child.children if isinstance(c, str))
-                    yield from walk(child)
-
-        yield from walk(parse_html(text))
+        yield from _html_elements(parse_html(text))
         return
-
-    def strip_ns(tag: str) -> str:
-        return tag.rsplit("}", 1)[-1].lower()
-
     for elem in root.iter():
-        yield strip_ns(elem.tag), elem.text or ""
+        yield _strip_ns(elem.tag), elem.text or ""
 
 
 def _clean_rss(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
@@ -293,14 +295,11 @@ def _iter_xml_elements_with_items(text: str):
     try:
         root = ET.fromstring(text)
     except ET.ParseError:
-        yield from _iter_xml_elements(text)
+        yield from _html_elements(parse_html(text))
         return
 
-    def strip_ns(tag: str) -> str:
-        return tag.rsplit("}", 1)[-1].lower()
-
     def walk(elem, inside_item: bool):
-        tag = strip_ns(elem.tag)
+        tag = _strip_ns(elem.tag)
         if tag == "item":
             yield ("item", "")
             inside_item = True

@@ -12,39 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import cleaning, completion, consistency, correction, pipeline, refinement
-from .model import KnowledgeGraph, Term, ontology_from_triples
-from .rdf_io import (
-    parse_ntriples,
-    parse_scored_jsonl,
-    parse_turtle,
-    render_triple,
-    serialize_ntriples,
-)
+from . import cleaning, completion, correction, pipeline, refinement
+from .model import Term
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHASE = 2
-
-
-def _read_graph(path: Path, default_confidence: float = 1.0) -> KnowledgeGraph:
-    triples, diags = parse_ntriples(path.read_bytes())
-    if diags:
-        first = diags[0]
-        raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
-    kg = KnowledgeGraph()
-    for t in triples:
-        kg.add_triple(t, default_confidence)
-    return kg
-
-
-def _read_ontology(path: Path):
-    data = path.read_bytes()
-    triples, diags = parse_ntriples(data) if path.suffix == ".nt" else parse_turtle(data)
-    if diags:
-        first = diags[0]
-        raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
-    return ontology_from_triples(triples)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -55,13 +28,14 @@ def _read_lines(path: Path) -> list[str]:
     ]
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _save(kg, out: str, report: dict, report_path: str | None) -> None:
+    pipeline.write_graph(Path(out), kg)
+    if report_path:
+        pipeline.write_json(Path(report_path), report)
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: parse arguments, read the input, run the phase
 
 def _cmd_clean(args) -> int:
     cfg_kwargs = {}
@@ -69,7 +43,7 @@ def _cmd_clean(args) -> int:
         cfg_kwargs["min_words"] = args.min_words
     if args.denylist is not None:
         cfg_kwargs["denylist"] = cleaning.load_denylist(Path(args.denylist))
-    summary = cleaning.clean_directory(
+    summary = pipeline.clean_phase(
         Path(args.in_dir), Path(args.out_dir), cleaning.CleanConfig(**cfg_kwargs), args.format
     )
     print(f"cleaned {len(summary['files'])} files: kept {summary['total_kept']} sentences")
@@ -77,102 +51,47 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    statements, diags = parse_scored_jsonl(Path(args.in_file).read_bytes())
-    kg = KnowledgeGraph()
-    for st in statements:
-        kg.add(st)
-    Path(args.out).write_bytes(serialize_ntriples(kg.triples()))
-    if args.report:
-        _write_json(
-            Path(args.report),
-            {
-                "records": len(statements),
-                "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
-                "statements": len(kg),
-                "unknown_classes": sorted(kg.unknown_classes()),
-            },
-        )
-    print(f"ingested {len(statements)} records into {len(kg)} statements ({len(diags)} diagnostics)")
+    kg, report = pipeline.ingest_phase(Path(args.in_file))
+    _save(kg, args.out, report, args.report)
+    print(
+        f"ingested {report['records']} records into {len(kg)} statements "
+        f"({len(report['diagnostics'])} diagnostics)"
+    )
     return EXIT_OK
 
 
 def _cmd_refine(args) -> int:
-    statements, diags = parse_scored_jsonl(Path(args.in_file).read_bytes())
-    kg = KnowledgeGraph()
-    for st in statements:
-        kg.add(st)
-    schema = _read_ontology(Path(args.schema)) if args.schema else None
+    kg, _ = pipeline.ingest_phase(Path(args.in_file))
+    schema = pipeline.load_ontology(Path(args.schema)) if args.schema else None
     cfg = refinement.RefineConfig(
         low_threshold=args.low,
         band_upper=args.high,
         lof_k=args.lof_k,
         lof_threshold=args.lof_threshold,
     )
-    refined, report = refinement.refine(kg, schema, cfg)
-    Path(args.out).write_bytes(serialize_ntriples(refined.triples()))
-    _write_json(
-        Path(args.report),
-        {
-            "removed_by_threshold": [render_triple(st.triple) for st in report.removed_by_threshold],
-            "removed_by_lof": [
-                {"triple": render_triple(st.triple), "lof": lof} for st, lof in report.removed_by_lof
-            ],
-            "removed_implausible": [
-                {"triple": render_triple(i.statement.triple), "count": i.count}
-                for i in report.removed_implausible
-            ],
-            "removed_disconnected": [
-                render_triple(st.triple) for st in report.removed_disconnected
-            ],
-            "kept": report.kept,
-            "notes": report.notes,
-            "ingest_diagnostics": len(diags),
-        },
-    )
-    print(f"refined: kept {report.kept} data statements")
+    kg, report = pipeline.refine_phase(kg, schema, cfg)
+    _save(kg, args.out, report, args.report)
+    print(f"refined: kept {report['kept']} data statements")
     return EXIT_OK
 
 
 def _cmd_correct(args) -> int:
-    kg = _read_graph(Path(args.in_file))
-    reference = _read_ontology(Path(args.axioms))
-    if args.reference:
-        facts, diags = parse_ntriples(Path(args.reference).read_bytes())
-        if diags:
-            raise ValueError(f"{args.reference}: {len(diags)} unparseable lines")
-        reference.facts |= set(facts)
+    kg = pipeline.read_graph(Path(args.in_file))
+    reference = pipeline.load_ontology(Path(args.axioms))
     functional = frozenset(_read_lines(Path(args.functional))) if args.functional else frozenset()
     cfg = correction.CorrectionConfig(functional=functional, sim_threshold=args.sim_threshold)
-    corrected, report = correction.correct(kg, reference, cfg)
-    Path(args.out).write_bytes(serialize_ntriples(corrected.triples()))
-    _write_json(
-        Path(args.report),
-        {
-            "checked": report.checked,
-            "violations": [{"kind": v.kind, "triple": render_triple(v.triple)} for v in report.violations],
-            "deleted": [render_triple(t) for t in report.deleted],
-            "replaced": [
-                {"old": render_triple(old), "new": render_triple(new)}
-                for old, new in report.replaced
-            ],
-        },
-    )
+    facts = Path(args.reference) if args.reference else None
+    kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
+    _save(kg, args.out, report, args.report)
     print(
-        f"corrected: {len(report.violations)} violations, "
-        f"{len(report.deleted)} deleted, {len(report.replaced)} replaced"
+        f"corrected: {len(report['violations'])} violations, "
+        f"{len(report['deleted'])} deleted, {len(report['replaced'])} replaced"
     )
     return EXIT_OK
 
 
 def _cmd_complete(args) -> int:
-    kg = _read_graph(Path(args.in_file))
-    pool = completion.training_triples(kg)
-    if args.train_extra:
-        pool = sorted(set(pool) | set(completion.load_tsv(Path(args.train_extra))))
-    if not pool:
-        print("nothing to train on; graph copied through", file=sys.stderr)
-        Path(args.out).write_bytes(serialize_ntriples(kg.triples()))
-        return EXIT_OK
+    kg = pipeline.read_graph(Path(args.in_file))
     cfg = completion.TrainConfig(
         dimension=args.dim,
         epochs=args.epochs,
@@ -182,79 +101,33 @@ def _cmd_complete(args) -> int:
         negatives_per_positive=args.negatives,
         seed=args.seed,
     )
-    metrics_payload: dict = {}
-    if args.holdout > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(cfg.seed)
-        order = rng.permutation(len(pool))
-        cut = max(1, int(len(pool) * (1 - args.holdout)))
-        train_split = [pool[i] for i in sorted(order[:cut])]
-        test_split = [pool[i] for i in sorted(order[cut:])]
-        model = completion.train(train_split, cfg)
-        test_known = [t for t in test_split if _covered(model, t)]
-        metrics = completion.evaluate(model, test_known, pool)
-        metrics_payload["holdout"] = {
-            "mrr": metrics.mrr,
-            "hits": {str(k): v for k, v in metrics.hits.items()},
-            "evaluated": metrics.evaluated,
-        }
-    else:
-        model = completion.train(pool, cfg)
-    relations = [Term.iri(r) for r in _read_lines(Path(args.predict_relations))] if args.predict_relations else []
-    predictions = completion.predict_missing(model, kg, relations, args.threshold, args.top_k)
-    for st in predictions:
-        kg.add(st)
-    Path(args.out).write_bytes(serialize_ntriples(kg.triples()))
-    if args.model_out:
-        completion.save_model(model, args.model_out)
-    if args.metrics:
-        metrics_payload.update(
-            {
-                "trained_on": len(pool),
-                "final_loss": model.loss_history[-1],
-                "predicted": len(predictions),
-                "predictions": [
-                    {"triple": render_triple(st.triple), "confidence": st.confidence}
-                    for st in predictions
-                ],
-            }
-        )
-        _write_json(Path(args.metrics), metrics_payload)
-    print(f"completed: {len(predictions)} predicted statements")
+    relations = (
+        [Term.iri(r) for r in _read_lines(Path(args.predict_relations))]
+        if args.predict_relations
+        else []
+    )
+    kg, report = pipeline.complete_phase(
+        kg,
+        cfg,
+        relations,
+        args.threshold,
+        args.top_k,
+        args.holdout,
+        Path(args.train_extra) if args.train_extra else None,
+        model_out=args.model_out,
+    )
+    _save(kg, args.out, report, args.metrics)
+    for note in report["notes"]:
+        print(note, file=sys.stderr)
+    print(f"completed: {report['predicted_count']} predicted statements")
     return EXIT_OK
 
 
-def _covered(model: completion.EmbeddingModel, t) -> bool:
-    return (
-        t.subject in model.entity_index
-        and t.predicate in model.relation_index
-        and t.object in model.entity_index
-    )
-
-
 def _cmd_map(args) -> int:
-    kg = _read_graph(Path(args.in_file))
-    domain = _read_ontology(Path(args.domain))
-    final, report = consistency.map_to_domain(kg, domain)
-    Path(args.out).write_bytes(serialize_ntriples(final.triples()))
-    _write_json(
-        Path(args.report),
-        {
-            "epsilon_total": report.epsilon_total,
-            "per_concept": [
-                {
-                    "concept": inc.concept,
-                    "offending_properties": sorted(inc.offending_properties),
-                    "epsilon_c": inc.epsilon_c,
-                }
-                for inc in report.per_concept
-            ],
-            "removed": [render_triple(t) for t in report.removed_triples],
-            "retained": report.retained,
-        },
-    )
-    print(f"mapped: epsilon={report.epsilon_total}, retained {report.retained} statements")
+    kg = pipeline.read_graph(Path(args.in_file))
+    kg, report = pipeline.map_phase(kg, pipeline.load_ontology(Path(args.domain)))
+    _save(kg, args.out, report, args.report)
+    print(f"mapped: epsilon={report['epsilon_total']}, retained {report['retained']} statements")
     return EXIT_OK
 
 
@@ -264,11 +137,6 @@ def _cmd_run(args) -> int:
         config.output_dir = Path(args.output_dir)
     if args.seed is not None:
         config.seed = args.seed
-    diagnostics = pipeline.validate(config)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"invalid config: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
     result = pipeline.run(config)
     print(f"pipeline finished; final ontology at {result.final_ontology}")
     return EXIT_OK

@@ -93,21 +93,12 @@ class RankMetrics:
 # ----------------------------------------------------------------------
 # scoring
 
-def _score_rows(m: EmbeddingModel, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    h_re, h_im = m.entity_re[h], m.entity_im[h]
-    t_re, t_im = m.entity_re[t], m.entity_im[t]
-    r_re, r_im = m.relation_re[r], m.relation_im[r]
-    return (
-        r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)
-    ).sum(axis=-1)
-
-
 def score(model: EmbeddingModel, h: Term, r: Term, t: Term) -> float:
     """Re(sum_i r_i * h_i * conj(t_i)) for one triple."""
     hi = np.array([model.entity_row(h)])
     ri = np.array([model.relation_row(r)])
     ti = np.array([model.entity_row(t)])
-    return float(_score_rows(model, hi, ri, ti)[0])
+    return float(_core(model, hi, ri, ti)[0][0])
 
 
 def _all_tail_scores(m: EmbeddingModel, h: int, r: int) -> np.ndarray:
@@ -129,21 +120,60 @@ def _all_head_scores(m: EmbeddingModel, r: int, t: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # loss and gradients
 
-def _partials(m: EmbeddingModel, h, r, t):
-    """Score and per-example partial derivatives for index arrays."""
+@dataclass
+class _Step:
+    """L2 term and gradients compacted to the distinct rows a batch touches."""
+
+    l2: float
+    entity_rows: np.ndarray
+    entity_re: np.ndarray
+    entity_im: np.ndarray
+    relation_rows: np.ndarray
+    relation_re: np.ndarray
+    relation_im: np.ndarray
+
+
+def _core(
+    m: EmbeddingModel, h, r, t, dldf=None, lam: float = 0.0
+) -> tuple[np.ndarray, _Step | None]:
+    """Scores for index arrays and, when `dldf` maps those scores to the
+    loss derivative per example, the step: L2 on the distinct rows touched
+    plus the gradient of loss + L2 on exactly those rows."""
     h_re, h_im = m.entity_re[h], m.entity_im[h]
     t_re, t_im = m.entity_re[t], m.entity_im[t]
     r_re, r_im = m.relation_re[r], m.relation_im[r]
-    f = (r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)).sum(axis=1)
-    d = {
-        "h_re": r_re * t_re + r_im * t_im,
-        "h_im": r_re * t_im - r_im * t_re,
-        "t_re": r_re * h_re - r_im * h_im,
-        "t_im": r_re * h_im + r_im * h_re,
-        "r_re": h_re * t_re + h_im * t_im,
-        "r_im": h_re * t_im - h_im * t_re,
-    }
-    return f, d
+    f = (r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)).sum(axis=-1)
+    if dldf is None:
+        return f, None
+    w = dldf(f)[:, None]
+
+    ue, inv_e = np.unique(np.concatenate([h, t]), return_inverse=True)
+    ge_re = np.zeros((len(ue), m.entity_re.shape[1]))
+    ge_im = np.zeros((len(ue), m.entity_re.shape[1]))
+    np.add.at(ge_re, inv_e[: len(h)], w * (r_re * t_re + r_im * t_im))
+    np.add.at(ge_im, inv_e[: len(h)], w * (r_re * t_im - r_im * t_re))
+    np.add.at(ge_re, inv_e[len(h) :], w * (r_re * h_re - r_im * h_im))
+    np.add.at(ge_im, inv_e[len(h) :], w * (r_re * h_im + r_im * h_re))
+
+    ur, inv_r = np.unique(r, return_inverse=True)
+    gr_re = np.zeros((len(ur), m.relation_re.shape[1]))
+    gr_im = np.zeros((len(ur), m.relation_re.shape[1]))
+    np.add.at(gr_re, inv_r, w * (h_re * t_re + h_im * t_im))
+    np.add.at(gr_im, inv_r, w * (h_re * t_im - h_im * t_re))
+
+    l2 = 0.0
+    if lam > 0:
+        l2 = lam * float(
+            (m.entity_re[ue] ** 2).sum()
+            + (m.entity_im[ue] ** 2).sum()
+            + (m.relation_re[ur] ** 2).sum()
+            + (m.relation_im[ur] ** 2).sum()
+        )
+        ge_re += 2 * lam * m.entity_re[ue]
+        ge_im += 2 * lam * m.entity_im[ue]
+        gr_re += 2 * lam * m.relation_re[ur]
+        gr_im += 2 * lam * m.relation_im[ur]
+    return f, _Step(l2, ue, ge_re, ge_im, ur, gr_re, gr_im)
 
 
 @dataclass
@@ -163,6 +193,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _margin_dldf(f: np.ndarray, pair: np.ndarray, margin: float) -> np.ndarray:
+    """Margin-ranking derivative: negative j (after the positives) pairs
+    with positive pair[j]; an active pair pushes the two scores apart."""
+    n_pos = len(f) - len(pair)
+    active = ((margin - f[pair] + f[n_pos:]) > 0).astype(float)
+    dldf = np.zeros_like(f)
+    np.add.at(dldf, pair, -active)
+    dldf[n_pos:] = active
+    return dldf
+
+
 def loss_and_gradient(
     model: EmbeddingModel, batch: list[tuple[Triple, int]], cfg: TrainConfig
 ) -> tuple[float, Gradients]:
@@ -177,9 +218,8 @@ def loss_and_gradient(
     r = np.array([model.relation_row(t.predicate) for t, _ in batch])
     t_ = np.array([model.entity_row(t.object) for t, _ in batch])
 
-    f, d = _partials(model, h, r, t_)
-    loss = float(np.logaddexp(0.0, -labels * f).sum())
-    dldf = -labels * _sigmoid(-labels * f)
+    f, step = _core(model, h, r, t_, lambda s: -labels * _sigmoid(-labels * s), cfg.l2_lambda)
+    loss = float(np.logaddexp(0.0, -labels * f).sum()) + step.l2
 
     grads = Gradients(
         np.zeros_like(model.entity_re),
@@ -187,28 +227,10 @@ def loss_and_gradient(
         np.zeros_like(model.relation_re),
         np.zeros_like(model.relation_im),
     )
-    w = dldf[:, None]
-    np.add.at(grads.entity_re, h, w * d["h_re"])
-    np.add.at(grads.entity_im, h, w * d["h_im"])
-    np.add.at(grads.entity_re, t_, w * d["t_re"])
-    np.add.at(grads.entity_im, t_, w * d["t_im"])
-    np.add.at(grads.relation_re, r, w * d["r_re"])
-    np.add.at(grads.relation_im, r, w * d["r_im"])
-
-    lam = cfg.l2_lambda
-    if lam > 0:
-        ue = np.unique(np.concatenate([h, t_]))
-        ur = np.unique(r)
-        loss += lam * float(
-            (model.entity_re[ue] ** 2).sum()
-            + (model.entity_im[ue] ** 2).sum()
-            + (model.relation_re[ur] ** 2).sum()
-            + (model.relation_im[ur] ** 2).sum()
-        )
-        grads.entity_re[ue] += 2 * lam * model.entity_re[ue]
-        grads.entity_im[ue] += 2 * lam * model.entity_im[ue]
-        grads.relation_re[ur] += 2 * lam * model.relation_re[ur]
-        grads.relation_im[ur] += 2 * lam * model.relation_im[ur]
+    grads.entity_re[step.entity_rows] = step.entity_re
+    grads.entity_im[step.entity_rows] = step.entity_im
+    grads.relation_re[step.relation_rows] = step.relation_re
+    grads.relation_im[step.relation_rows] = step.relation_im
     return loss, grads
 
 
@@ -306,65 +328,47 @@ def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingMod
             h = np.concatenate([batch_pos[:, 0], negs[:, 1]])
             r = np.concatenate([batch_pos[:, 1], negs[:, 2]])
             t = np.concatenate([batch_pos[:, 2], negs[:, 3]])
-            f, d = _partials(model, h, r, t)
             n_pos = len(batch_pos)
 
             if cfg.loss == "logistic":
                 y = np.concatenate([np.ones(n_pos), -np.ones(len(negs))])
+                f, step = _core(model, h, r, t, lambda s: -y * _sigmoid(-y * s), lam)
                 epoch_loss += float(np.logaddexp(0.0, -y * f).sum())
-                dldf = -y * _sigmoid(-y * f)
             else:
                 # margin ranking: each negative pairs with its positive
-                f_pos_of_neg = f[negs[:, 0]]
-                f_neg = f[n_pos:]
-                active = (cfg.margin - f_pos_of_neg + f_neg) > 0
-                epoch_loss += float(np.maximum(0.0, cfg.margin - f_pos_of_neg + f_neg).sum())
-                dldf = np.zeros_like(f)
-                np.add.at(dldf, negs[:, 0], -active.astype(float))
-                dldf[n_pos:] = active.astype(float)
+                f, step = _core(
+                    model, h, r, t, lambda s: _margin_dldf(s, negs[:, 0], cfg.margin), lam
+                )
+                epoch_loss += float(np.maximum(0.0, cfg.margin - f[negs[:, 0]] + f[n_pos:]).sum())
+            epoch_loss += step.l2
             examples += len(f)
 
-            w = dldf[:, None]
-            ue, inv_e = np.unique(np.concatenate([h, t]), return_inverse=True)
-            ge_re = np.zeros((len(ue), cfg.dimension))
-            ge_im = np.zeros((len(ue), cfg.dimension))
-            np.add.at(ge_re, inv_e[: len(h)], w * d["h_re"])
-            np.add.at(ge_im, inv_e[: len(h)], w * d["h_im"])
-            np.add.at(ge_re, inv_e[len(h) :], w * d["t_re"])
-            np.add.at(ge_im, inv_e[len(h) :], w * d["t_im"])
-
-            ur, inv_r = np.unique(r, return_inverse=True)
-            gr_re = np.zeros((len(ur), cfg.dimension))
-            gr_im = np.zeros((len(ur), cfg.dimension))
-            np.add.at(gr_re, inv_r, w * d["r_re"])
-            np.add.at(gr_im, inv_r, w * d["r_im"])
-
-            if lam > 0:
-                epoch_loss += lam * float(
-                    (model.entity_re[ue] ** 2).sum()
-                    + (model.entity_im[ue] ** 2).sum()
-                    + (model.relation_re[ur] ** 2).sum()
-                    + (model.relation_im[ur] ** 2).sum()
-                )
-                ge_re += 2 * lam * model.entity_re[ue]
-                ge_im += 2 * lam * model.entity_im[ue]
-                gr_re += 2 * lam * model.relation_re[ur]
-                gr_im += 2 * lam * model.relation_im[ur]
-
             if cfg.real_relations:
-                gr_im[:] = 0.0
+                step.relation_im[:] = 0.0
 
             for rows, grad, accum, params in (
-                (ue, ge_re, acc.entity_re, model.entity_re),
-                (ue, ge_im, acc.entity_im, model.entity_im),
-                (ur, gr_re, acc.relation_re, model.relation_re),
-                (ur, gr_im, acc.relation_im, model.relation_im),
+                (step.entity_rows, step.entity_re, acc.entity_re, model.entity_re),
+                (step.entity_rows, step.entity_im, acc.entity_im, model.entity_im),
+                (step.relation_rows, step.relation_re, acc.relation_re, model.relation_re),
+                (step.relation_rows, step.relation_im, acc.relation_im, model.relation_im),
             ):
                 accum[rows] += grad * grad
                 params[rows] -= lr * grad / np.sqrt(accum[rows] + _ADAGRAD_EPS)
 
         model.loss_history.append(epoch_loss / max(examples, 1))
     return model
+
+
+def split_holdout(
+    triples: list[Triple], fraction: float, seed: int
+) -> tuple[list[Triple], list[Triple]]:
+    """Seeded (train, held-out) split that keeps the input order; with a
+    fraction of 0 everything trains."""
+    if fraction <= 0:
+        return triples, []
+    order = np.random.default_rng(seed).permutation(len(triples))
+    cut = max(1, int(len(triples) * (1 - fraction)))
+    return [triples[i] for i in sorted(order[:cut])], [triples[i] for i in sorted(order[cut:])]
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +441,9 @@ def predict_missing(
     the relation's observed subjects (all data-statement subjects when the
     observed subjects carry no types).  Confidence is sigmoid(score); only
     the top-k proposals strictly above the threshold are emitted, flagged
-    as predicted.
+    as predicted.  Equal scores rank the lower entity row first: rows are
+    numbered in `Term.sort_key` order (a trained model's vocabulary, kept
+    by `load_model`), so ties fall to the smaller sort key.
     """
     data = [st for st in kg.data_statements]
     subjects_by_relation: dict[str, set[Term]] = {}
@@ -473,10 +479,7 @@ def predict_missing(
             s_row = model.entity_row(subject)
             scores = _all_tail_scores(model, s_row, r)
             conf = _sigmoid(scores)
-            order = sorted(
-                range(len(scores)),
-                key=lambda i: (-scores[i], entities[i].sort_key()),
-            )
+            order = np.argsort(-scores, kind="stable")
             emitted = 0
             for i in order:
                 if emitted >= top_k:

@@ -82,42 +82,34 @@ class PipelineConfig:
             raise ValidationError([f"{path}: config must be a mapping"])
         base = path.resolve().parent
 
-        def pathify(key: str) -> Path | None:
-            value = raw.get(key)
+        def pathify(value) -> Path | None:
             if value is None:
                 return None
             p = Path(str(value))
             return p if p.is_absolute() else base / p
 
-        complete_opts = dict(raw.get("complete", {}) or {})
-        extra = complete_opts.pop("train_extra", None)
+        clean_opts = dict(raw.get("clean") or {})
+        correction_opts = dict(raw.get("correct") or {})
+        train_opts = dict(raw.get("complete") or {})
         return PipelineConfig(
-            scored_triples=pathify("scored_triples") or base / "triples.jsonl",
-            reference_axioms=pathify("reference_axioms") or base / "axioms.ttl",
-            domain_ontology=pathify("domain_ontology") or base / "domain.ttl",
-            output_dir=pathify("output_dir") or base / "out",
-            corpus_dir=pathify("corpus_dir"),
-            reference_facts=pathify("reference_facts"),
+            scored_triples=pathify(raw.get("scored_triples")) or base / "triples.jsonl",
+            reference_axioms=pathify(raw.get("reference_axioms")) or base / "axioms.ttl",
+            domain_ontology=pathify(raw.get("domain_ontology")) or base / "domain.ttl",
+            output_dir=pathify(raw.get("output_dir")) or base / "out",
+            corpus_dir=pathify(raw.get("corpus_dir")),
+            reference_facts=pathify(raw.get("reference_facts")),
             seed=int(raw.get("seed", 42)),
-            clean_format=raw.get("clean", {}).get("format") if raw.get("clean") else None,
-            clean_options={
-                k: v for k, v in (raw.get("clean", {}) or {}).items() if k != "format"
-            },
-            refine_options=dict(raw.get("refine", {}) or {}),
-            correction_options=dict(raw.get("correct", {}) or {}),
-            train_options={
-                k: v
-                for k, v in complete_opts.items()
-                if k not in ("predict_relations", "threshold", "top_k", "holdout")
-            },
-            train_extra=(base / extra if extra and not Path(extra).is_absolute() else (Path(extra) if extra else None)),
-            predict_relations=[str(r) for r in complete_opts.get("predict_relations", [])],
-            predict_threshold=float(complete_opts.get("threshold", 0.5)),
-            predict_top_k=int(complete_opts.get("top_k", 1)),
-            holdout_fraction=float(complete_opts.get("holdout", 0.0)),
-            agreement_sim_threshold=float(
-                (raw.get("correct", {}) or {}).get("sim_threshold", 0.8)
-            ),
+            clean_format=clean_opts.pop("format", None),
+            clean_options=clean_opts,
+            refine_options=dict(raw.get("refine") or {}),
+            correction_options=correction_opts,
+            train_extra=pathify(train_opts.pop("train_extra", None)),
+            predict_relations=[str(r) for r in train_opts.pop("predict_relations", [])],
+            predict_threshold=float(train_opts.pop("threshold", 0.5)),
+            predict_top_k=int(train_opts.pop("top_k", 1)),
+            holdout_fraction=float(train_opts.pop("holdout", 0.0)),
+            train_options=train_opts,
+            agreement_sim_threshold=float(correction_opts.get("sim_threshold", 0.8)),
         )
 
     def make_clean_config(self) -> cleaning.CleanConfig:
@@ -169,16 +161,36 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _load_ontology(path: Path) -> OntologySchema:
-    data = path.read_bytes()
-    if path.suffix == ".nt":
-        triples, diags = parse_ntriples(data)
-    else:
-        triples, diags = parse_turtle(data)
+def _parse_or_raise(path: Path, parse):
+    triples, diags = parse(path.read_bytes())
     if diags:
         first = diags[0]
         raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
-    return ontology_from_triples(triples)
+    return triples
+
+
+def load_ontology(path: Path) -> OntologySchema:
+    """Schema from an N-Triples (.nt) or Turtle file; any diagnostic fails."""
+    return ontology_from_triples(
+        _parse_or_raise(path, parse_ntriples if path.suffix == ".nt" else parse_turtle)
+    )
+
+
+def read_graph(path: Path) -> KnowledgeGraph:
+    """Graph from an N-Triples file, every statement at confidence 1."""
+    kg = KnowledgeGraph()
+    for t in _parse_or_raise(path, parse_ntriples):
+        kg.add_triple(t)
+    return kg
+
+
+def write_graph(path: Path, kg: KnowledgeGraph) -> None:
+    path.write_bytes(serialize_ntriples(kg.triples()))
+
+
+def write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def validate(config: PipelineConfig) -> list[str]:
@@ -215,7 +227,7 @@ def validate(config: PipelineConfig) -> list[str]:
     ):
         if Path(path).is_file():
             try:
-                _load_ontology(Path(path))
+                load_ontology(Path(path))
             except ValueError as exc:
                 out.append(f"{label}: {exc}")
     return out
@@ -228,13 +240,171 @@ class PipelineResult:
     final_ontology: Path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+# ----------------------------------------------------------------------
+# phases: each takes its inputs and config and returns (graph, report);
+# the report is the phase's `reports/<phase>.json` payload.  `run` and the
+# CLI subcommands both call these.
+
+def clean_phase(
+    corpus_dir: Path | None,
+    cleaned_dir: Path,
+    cfg: cleaning.CleanConfig,
+    fmt: str | None = None,
+) -> dict:
+    """Clean every corpus document into `cleaned_dir`; the phase has no
+    graph, so only the report is returned."""
+    if corpus_dir is None:
+        cleaned_dir.mkdir(parents=True, exist_ok=True)
+        return {"files": {}, "total_kept": 0, "total_dropped": 0}
+    return cleaning.clean_directory(Path(corpus_dir), cleaned_dir, cfg, fmt)
 
 
-def _write_graph(path: Path, kg: KnowledgeGraph) -> None:
-    path.write_bytes(serialize_ntriples(kg.triples()))
+def ingest_phase(scored_triples: Path) -> tuple[KnowledgeGraph, dict]:
+    statements, diags = parse_scored_jsonl(Path(scored_triples).read_bytes())
+    kg = KnowledgeGraph()
+    for st in statements:
+        kg.add(st)
+    return kg, {
+        "records": len(statements),
+        "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
+        "data_statements": len(kg.data_statements),
+        "schema_statements": len(kg.schema_statements),
+        "unknown_classes": sorted(kg.unknown_classes()),
+    }
 
+
+def refine_phase(
+    kg: KnowledgeGraph, reference: OntologySchema | None, cfg: refinement.RefineConfig
+) -> tuple[KnowledgeGraph, dict]:
+    kg, report = refinement.refine(kg, reference, cfg)
+    return kg, {
+        "removed_by_threshold": [render_triple(st.triple) for st in report.removed_by_threshold],
+        "removed_by_lof": [
+            {"triple": render_triple(st.triple), "lof": lof} for st, lof in report.removed_by_lof
+        ],
+        "removed_implausible": [
+            {
+                "triple": render_triple(item.statement.triple),
+                "combo": list(item.combo),
+                "count": item.count,
+            }
+            for item in report.removed_implausible
+        ],
+        "removed_disconnected": [render_triple(st.triple) for st in report.removed_disconnected],
+        "disconnected_nodes": [n.value for n in report.disconnected_nodes],
+        "kept": report.kept,
+        "notes": report.notes,
+    }
+
+
+def correct_phase(
+    kg: KnowledgeGraph,
+    reference: OntologySchema,
+    cfg: correction.CorrectionConfig,
+    reference_facts: Path | None = None,
+) -> tuple[KnowledgeGraph, dict]:
+    """Correct against the reference axioms, first adding the N-Triples
+    `reference_facts` to the reference schema's facts."""
+    if reference_facts is not None:
+        facts, diags = parse_ntriples(Path(reference_facts).read_bytes())
+        if diags:
+            raise ValueError(f"reference facts {reference_facts}: {len(diags)} unparseable lines")
+        reference.facts |= set(facts)
+    kg, report = correction.correct(kg, reference, cfg)
+    return kg, {
+        "checked": report.checked,
+        "violations": [
+            {"kind": v.kind, "triple": render_triple(v.triple)} for v in report.violations
+        ],
+        "deleted": [render_triple(t) for t in report.deleted],
+        "replaced": [
+            {"old": render_triple(old), "new": render_triple(new)} for old, new in report.replaced
+        ],
+    }
+
+
+def complete_phase(
+    kg: KnowledgeGraph,
+    cfg: completion.TrainConfig,
+    relations: list[Term],
+    threshold: float = 0.5,
+    top_k: int = 1,
+    holdout: float = 0.0,
+    train_extra: Path | None = None,
+    sim_threshold: float = 0.8,
+    model_out: Path | None = None,
+) -> tuple[KnowledgeGraph, dict]:
+    """Train on the graph (plus `train_extra`) and add the predicted
+    statements for `relations`.  With `holdout` > 0 that fraction of the
+    pool is held out of training and ranked (filtered MRR and Hits@k).
+    Training is skipped when the pool is empty, or when there is nothing
+    to predict, score or save to `model_out`."""
+    report: dict = {"predictions": [], "notes": []}
+    predictions: list = []
+    pool = completion.training_triples(kg)
+    if train_extra is not None:
+        pool = sorted(set(pool) | set(completion.load_tsv(Path(train_extra))))
+    if not pool:
+        report["notes"].append("no resource-object statements; training skipped")
+    elif not relations:
+        report["notes"].append("no candidate relations configured; prediction skipped")
+    if pool and (relations or holdout > 0 or model_out is not None):
+        train_split, test_split = completion.split_holdout(pool, holdout, cfg.seed)
+        model = completion.train(train_split, cfg)
+        if holdout > 0:
+            covered = [
+                t for t in test_split
+                if t.subject in model.entity_index
+                and t.predicate in model.relation_index
+                and t.object in model.entity_index
+            ]
+            metrics = completion.evaluate(model, covered, pool)
+            report["holdout"] = {
+                "mrr": metrics.mrr,
+                "hits": {str(k): v for k, v in metrics.hits.items()},
+                "evaluated": metrics.evaluated,
+            }
+        predictions = completion.predict_missing(model, kg, relations, threshold, top_k)
+        for st in predictions:
+            kg.add(st)
+        report["trained_on"] = len(pool)
+        report["entities"] = len(model.entity_index)
+        report["relations"] = len(model.relation_index)
+        report["final_loss"] = model.loss_history[-1]
+        report["predictions"] = [
+            {"triple": render_triple(st.triple), "confidence": round(st.confidence, 9)}
+            for st in predictions
+        ]
+        report["agreement"] = _agreement_rates(model, kg, relations, sim_threshold)
+        if model_out is not None:
+            completion.save_model(model, model_out)
+    report["predicted_count"] = len(predictions)
+    return kg, report
+
+
+def map_phase(kg: KnowledgeGraph, domain: OntologySchema) -> tuple[KnowledgeGraph, dict]:
+    final, report = consistency.map_to_domain(kg, domain)
+    return final, {
+        "epsilon_total": report.epsilon_total,
+        "per_concept": [
+            {
+                "concept": inc.concept,
+                "offending_properties": sorted(inc.offending_properties),
+                "epsilon_c": inc.epsilon_c,
+                "affected": len(inc.affected_triples),
+            }
+            for inc in report.per_concept
+        ],
+        "domain_range_violations": [
+            {"triple": render_triple(v.triple), "position": v.position, "property": v.property}
+            for v in report.domain_range_violations
+        ],
+        "removed": [render_triple(t) for t in report.removed_triples],
+        "retained": report.retained,
+    }
+
+
+# ----------------------------------------------------------------------
 
 def run(config: PipelineConfig) -> PipelineResult:
     """Execute all phases in order, writing artifacts, reports, a manifest,
@@ -244,8 +414,7 @@ def run(config: PipelineConfig) -> PipelineResult:
         raise ValidationError(diagnostics)
 
     out_dir = Path(config.output_dir)
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "reports").mkdir(parents=True, exist_ok=True)
 
     counts: dict[str, dict] = {}
     timing: dict[str, float] = {}
@@ -263,189 +432,61 @@ def run(config: PipelineConfig) -> PipelineResult:
 
         return _Timer()
 
-    # clean ------------------------------------------------------------
+    def save(phase: str, kg: KnowledgeGraph | None, report: dict, **phase_counts) -> None:
+        if kg is not None:
+            write_graph(out_dir / ARTIFACTS[phase], kg)
+        write_json(out_dir / "reports" / f"{phase}.json", report)
+        counts[phase] = phase_counts
+
     with timed("clean"):
-        cleaned_dir = out_dir / ARTIFACTS["clean"]
-        if config.corpus_dir is not None:
-            summary = cleaning.clean_directory(
-                Path(config.corpus_dir), cleaned_dir, config.make_clean_config(), config.clean_format
-            )
-        else:
-            cleaned_dir.mkdir(parents=True, exist_ok=True)
-            summary = {"files": {}, "total_kept": 0, "total_dropped": 0}
-        _write_json(reports_dir / "clean.json", summary)
-        counts["clean"] = {
-            "files": len(summary["files"]),
-            "kept": summary["total_kept"],
-            "dropped": summary["total_dropped"],
-        }
+        report = clean_phase(
+            config.corpus_dir,
+            out_dir / ARTIFACTS["clean"],
+            config.make_clean_config(),
+            config.clean_format,
+        )
+        save("clean", None, report, files=len(report["files"]),
+             kept=report["total_kept"], dropped=report["total_dropped"])
 
-    # ingest -----------------------------------------------------------
     with timed("ingest"):
-        statements, diags = parse_scored_jsonl(Path(config.scored_triples).read_bytes())
-        kg = KnowledgeGraph()
-        for st in statements:
-            kg.add(st)
-        _write_graph(out_dir / ARTIFACTS["ingest"], kg)
-        _write_json(
-            reports_dir / "ingest.json",
-            {
-                "records": len(statements),
-                "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
-                "data_statements": len(kg.data_statements),
-                "schema_statements": len(kg.schema_statements),
-                "unknown_classes": sorted(kg.unknown_classes()),
-            },
-        )
-        counts["ingest"] = {
-            "records": len(statements),
-            "statements": len(kg),
-            "diagnostics": len(diags),
-        }
+        kg, report = ingest_phase(config.scored_triples)
+        save("ingest", kg, report, records=report["records"], statements=len(kg),
+             diagnostics=len(report["diagnostics"]))
 
-    # refine -------------------------------------------------------------
     with timed("refine"):
-        reference = _load_ontology(Path(config.reference_axioms))
-        kg, refine_report = refinement.refine(kg, reference, config.make_refine_config())
-        _write_graph(out_dir / ARTIFACTS["refine"], kg)
-        _write_json(
-            reports_dir / "refine.json",
-            {
-                "removed_by_threshold": [
-                    render_triple(st.triple) for st in refine_report.removed_by_threshold
-                ],
-                "removed_by_lof": [
-                    {"triple": render_triple(st.triple), "lof": score}
-                    for st, score in refine_report.removed_by_lof
-                ],
-                "removed_implausible": [
-                    {
-                        "triple": render_triple(item.statement.triple),
-                        "combo": list(item.combo),
-                        "count": item.count,
-                    }
-                    for item in refine_report.removed_implausible
-                ],
-                "removed_disconnected": [
-                    render_triple(st.triple) for st in refine_report.removed_disconnected
-                ],
-                "disconnected_nodes": [n.value for n in refine_report.disconnected_nodes],
-                "kept": refine_report.kept,
-                "notes": refine_report.notes,
-            },
-        )
-        counts["refine"] = {
-            "removed_threshold": len(refine_report.removed_by_threshold),
-            "removed_lof": len(refine_report.removed_by_lof),
-            "removed_implausible": len(refine_report.removed_implausible),
-            "removed_disconnected": len(refine_report.removed_disconnected),
-            "kept": refine_report.kept,
-        }
+        reference = load_ontology(Path(config.reference_axioms))
+        kg, report = refine_phase(kg, reference, config.make_refine_config())
+        save("refine", kg, report,
+             removed_threshold=len(report["removed_by_threshold"]),
+             removed_lof=len(report["removed_by_lof"]),
+             removed_implausible=len(report["removed_implausible"]),
+             removed_disconnected=len(report["removed_disconnected"]),
+             kept=report["kept"])
 
-    # correct ------------------------------------------------------------
     with timed("correct"):
-        if config.reference_facts is not None:
-            facts_triples, fact_diags = parse_ntriples(Path(config.reference_facts).read_bytes())
-            if fact_diags:
-                raise ValueError(f"reference facts: {len(fact_diags)} unparseable lines")
-            reference.facts |= set(facts_triples)
-        kg, corr_report = correction.correct(kg, reference, config.make_correction_config())
-        _write_graph(out_dir / ARTIFACTS["correct"], kg)
-        _write_json(
-            reports_dir / "correct.json",
-            {
-                "checked": corr_report.checked,
-                "violations": [
-                    {
-                        "kind": v.kind,
-                        "triple": render_triple(v.triple),
-                    }
-                    for v in corr_report.violations
-                ],
-                "deleted": [render_triple(t) for t in corr_report.deleted],
-                "replaced": [
-                    {"old": render_triple(old), "new": render_triple(new)}
-                    for old, new in corr_report.replaced
-                ],
-            },
+        kg, report = correct_phase(
+            kg, reference, config.make_correction_config(), config.reference_facts
         )
-        counts["correct"] = {
-            "violations": len(corr_report.violations),
-            "deleted": len(corr_report.deleted),
-            "replaced": len(corr_report.replaced),
-        }
+        save("correct", kg, report, violations=len(report["violations"]),
+             deleted=len(report["deleted"]), replaced=len(report["replaced"]))
 
-    # complete -----------------------------------------------------------
     with timed("complete"):
-        complete_payload: dict = {"predictions": [], "notes": []}
-        predictions: list = []
-        pool = completion.training_triples(kg)
-        if config.train_extra is not None:
-            pool = sorted(set(pool) | set(completion.load_tsv(Path(config.train_extra))))
-        relations = [Term.iri(r) for r in config.predict_relations]
-        if not pool:
-            complete_payload["notes"].append("no resource-object statements; training skipped")
-        elif not relations:
-            complete_payload["notes"].append("no candidate relations configured; prediction skipped")
-        else:
-            train_cfg = config.make_train_config()
-            model = completion.train(pool, train_cfg)
-            predictions = completion.predict_missing(
-                model, kg, relations, config.predict_threshold, config.predict_top_k
-            )
-            for st in predictions:
-                kg.add(st)
-            complete_payload["trained_on"] = len(pool)
-            complete_payload["entities"] = len(model.entity_index)
-            complete_payload["relations"] = len(model.relation_index)
-            complete_payload["final_loss"] = model.loss_history[-1]
-            complete_payload["predictions"] = [
-                {"triple": render_triple(st.triple), "confidence": round(st.confidence, 9)}
-                for st in predictions
-            ]
-            complete_payload["agreement"] = _agreement_rates(
-                model, kg, relations, config.agreement_sim_threshold
-            )
-        complete_payload["predicted_count"] = len(predictions)
-        _write_graph(out_dir / ARTIFACTS["complete"], kg)
-        _write_json(reports_dir / "complete.json", complete_payload)
-        counts["complete"] = {"predicted": len(predictions)}
-
-    # map ----------------------------------------------------------------
-    with timed("map"):
-        domain = _load_ontology(Path(config.domain_ontology))
-        final, map_report = consistency.map_to_domain(kg, domain)
-        _write_graph(out_dir / ARTIFACTS["map"], final)
-        _write_json(
-            reports_dir / "map.json",
-            {
-                "epsilon_total": map_report.epsilon_total,
-                "per_concept": [
-                    {
-                        "concept": inc.concept,
-                        "offending_properties": sorted(inc.offending_properties),
-                        "epsilon_c": inc.epsilon_c,
-                        "affected": len(inc.affected_triples),
-                    }
-                    for inc in map_report.per_concept
-                ],
-                "domain_range_violations": [
-                    {
-                        "triple": render_triple(v.triple),
-                        "position": v.position,
-                        "property": v.property,
-                    }
-                    for v in map_report.domain_range_violations
-                ],
-                "removed": [render_triple(t) for t in map_report.removed_triples],
-                "retained": map_report.retained,
-            },
+        kg, report = complete_phase(
+            kg,
+            config.make_train_config(),
+            [Term.iri(r) for r in config.predict_relations],
+            config.predict_threshold,
+            config.predict_top_k,
+            config.holdout_fraction,
+            config.train_extra,
+            config.agreement_sim_threshold,
         )
-        counts["map"] = {
-            "epsilon_total": map_report.epsilon_total,
-            "removed": len(map_report.removed_triples),
-            "retained": map_report.retained,
-        }
+        save("complete", kg, report, predicted=report["predicted_count"])
+
+    with timed("map"):
+        kg, report = map_phase(kg, load_ontology(Path(config.domain_ontology)))
+        save("map", kg, report, epsilon_total=report["epsilon_total"],
+             removed=len(report["removed"]), retained=report["retained"])
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -453,9 +494,9 @@ def run(config: PipelineConfig) -> PipelineResult:
         "phases": counts,
         "artifacts": {phase: ARTIFACTS[phase] for phase in PHASES},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     timing["total"] = round(time.perf_counter() - started, 6)
-    _write_json(out_dir / "timing.json", timing)
+    write_json(out_dir / "timing.json", timing)
     return PipelineResult(out_dir, manifest, out_dir / ARTIFACTS["map"])
 
 

@@ -108,6 +108,18 @@ class TestClean:
         result = clean(doc)
         assert len(result.sentences) == 6  # 3 titles + 3 descriptions
 
+    @pytest.mark.parametrize("fmt", ["rss", "xml"])
+    def test_malformed_feed_falls_back_to_html_walker(self, fmt):
+        feed = (
+            b"<rss><channel><item><title>The board approved the merger on Monday.</title>"
+            b"<description>Shares rallied after the company reported record earnings."
+            b"</description></item></channel><broken"
+        )
+        assert clean(RawDocument(feed, fmt, "mem")).sentences == [
+            "The board approved the merger on Monday.",
+            "Shares rallied after the company reported record earnings.",
+        ]
+
     def test_undecodable_bytes_name_origin(self):
         with pytest.raises(CleanError, match="corrupt.bin"):
             clean(RawDocument(b"\xff\xfe\x00junk", "plain", "corrupt.bin"))

@@ -214,10 +214,39 @@ class TestEmptyInputs:
         assert result.manifest["phases"]["map"]["retained"] == 0
 
 
+class TestRunHoldout:
+    def test_run_scores_configured_holdout(self, tmp_path):
+        records = [
+            {"s": t.subject.value, "p": t.predicate.value, "o": t.object.value,
+             "o_kind": "iri", "conf": 0.95}
+            for t in ff.kinship_triples()
+        ]
+        (tmp_path / "triples.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        (tmp_path / "axioms.ttl").write_text(ff.reference_axioms_turtle(), encoding="utf-8")
+        (tmp_path / "domain.ttl").write_text(ff.domain_ontology_turtle(), encoding="utf-8")
+        (tmp_path / "pipeline.yaml").write_text(
+            yaml.safe_dump({"complete": {"dimension": 10, "epochs": 20, "holdout": 0.2}}),
+            encoding="utf-8",
+        )
+        pipeline.run(pipeline.PipelineConfig.from_file(tmp_path / "pipeline.yaml"))
+        report = json.loads((tmp_path / "out" / "reports" / "complete.json").read_text())
+        assert report["holdout"]["evaluated"] > 0
+        assert 0.0 <= report["holdout"]["mrr"] <= 1.0
+        assert report["predicted_count"] == 0
+
+
 class TestCli:
-    def test_phase_subcommands_compose(self, tmp_path, pipeline_fixture_dir):
+    def test_phase_subcommands_compose(self, tmp_path, pipeline_fixture_dir, pipeline_run):
         src = pipeline_fixture_dir
         out = tmp_path
+        run_reports = Path(pipeline_run[0].output_dir) / "reports"
+
+        def assert_run_schema(cli_report: Path, phase: str) -> None:
+            run_report = json.loads((run_reports / f"{phase}.json").read_text())
+            assert set(json.loads(cli_report.read_text())) == set(run_report)
+
         rc = cli_main(
             ["clean", "--in", str(src / "corpus"), "--out", str(out / "cleaned")]
         )
@@ -229,12 +258,14 @@ class TestCli:
              "--report", str(out / "ingest.json")]
         )
         assert rc == 0
+        assert_run_schema(out / "ingest.json", "ingest")
 
         rc = cli_main(
             ["refine", "--in", str(src / "triples.jsonl"), "--schema", str(src / "reference_axioms.ttl"),
              "--out", str(out / "refined.nt"), "--report", str(out / "refine.json")]
         )
         assert rc == 0
+        assert_run_schema(out / "refine.json", "refine")
 
         functional = out / "functional.txt"
         functional.write_text(ff.PROP + "businessFocus\n", encoding="utf-8")
@@ -246,6 +277,7 @@ class TestCli:
         assert rc == 0
         report = json.loads((out / "correct.json").read_text())
         assert len(report["replaced"]) == 2
+        assert_run_schema(out / "correct.json", "correct")
 
         rels = out / "rels.txt"
         rels.write_text(ff.PROP + "businessFocus\n", encoding="utf-8")
@@ -259,7 +291,8 @@ class TestCli:
         assert rc == 0
         assert (out / "model.bin").stat().st_size > 0
         metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["predicted"] == 430
+        assert metrics["predicted_count"] == 430
+        assert_run_schema(out / "metrics.json", "complete")
 
         rc = cli_main(
             ["map", "--in", str(out / "completed.nt"), "--domain", str(src / "domain_ontology.ttl"),
@@ -267,6 +300,7 @@ class TestCli:
         )
         assert rc == 0
         assert json.loads((out / "map.json").read_text())["epsilon_total"] >= 3
+        assert_run_schema(out / "map.json", "map")
 
     def test_complete_holdout_metrics(self, tmp_path, pipeline_fixture_dir):
         kg_path = tmp_path / "kg.nt"
