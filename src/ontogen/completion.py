@@ -4,8 +4,11 @@ Entities and relations live in C^d, stored as separate real and imaginary
 matrices.  The score of (h, r, t) is Re(sum_i r_i * h_i * conj(t_i)), which
 lets one relation vector assign different scores to the two directions of a
 pair.  Training minimizes logistic loss with L2 weight decay under
-per-parameter adaptive gradient scaling; negatives come from corrupting
-heads or tails, filtered against known positives.
+per-parameter adaptive gradient scaling.  Negatives come from exact
+complement sampling: a head or tail is replaced by an entity drawn
+uniformly from those that form no known positive there.  Predictions use
+type-constrained candidate tails: a tail must share a class with the
+relation's observed objects.
 """
 
 from __future__ import annotations
@@ -147,19 +150,16 @@ def _core(
         return f, None
     w = dldf(f)[:, None]
 
-    ue, inv_e = np.unique(np.concatenate([h, t]), return_inverse=True)
-    ge_re = np.zeros((len(ue), m.entity_re.shape[1]))
-    ge_im = np.zeros((len(ue), m.entity_re.shape[1]))
-    np.add.at(ge_re, inv_e[: len(h)], w * (r_re * t_re + r_im * t_im))
-    np.add.at(ge_im, inv_e[: len(h)], w * (r_re * t_im - r_im * t_re))
-    np.add.at(ge_re, inv_e[len(h) :], w * (r_re * h_re - r_im * h_im))
-    np.add.at(ge_im, inv_e[len(h) :], w * (r_re * h_im + r_im * h_re))
-
-    ur, inv_r = np.unique(r, return_inverse=True)
-    gr_re = np.zeros((len(ur), m.relation_re.shape[1]))
-    gr_im = np.zeros((len(ur), m.relation_re.shape[1]))
-    np.add.at(gr_re, inv_r, w * (h_re * t_re + h_im * t_im))
-    np.add.at(gr_im, inv_r, w * (h_re * t_im - h_im * t_re))
+    # one sort per parameter kind, shared by its real and imaginary parts;
+    # entity rows take the head contributions, then the tail contributions
+    ue, ge_re, ge_im = _row_sums(
+        np.concatenate([h, t]),
+        np.concatenate([w * (r_re * t_re + r_im * t_im), w * (r_re * h_re - r_im * h_im)]),
+        np.concatenate([w * (r_re * t_im - r_im * t_re), w * (r_re * h_im + r_im * h_re)]),
+    )
+    ur, gr_re, gr_im = _row_sums(
+        r, w * (h_re * t_re + h_im * t_im), w * (h_re * t_im - h_im * t_re)
+    )
 
     l2 = 0.0
     if lam > 0:
@@ -174,6 +174,15 @@ def _core(
         gr_re += 2 * lam * m.relation_re[ur]
         gr_im += 2 * lam * m.relation_im[ur]
     return f, _Step(l2, ue, ge_re, ge_im, ur, gr_re, gr_im)
+
+
+def _row_sums(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct ids, ascending, then for each array in `values` the
+    per-id sums of its rows: one stable sort, then segment sums."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return ids[starts], *(np.add.reduceat(v[order], starts, axis=0) for v in values)
 
 
 @dataclass
@@ -256,33 +265,72 @@ def _init_model(n_e: int, n_r: int, cfg: TrainConfig, rng: np.random.Generator) 
     return entity_re, entity_im, relation_re, relation_im
 
 
+@dataclass(frozen=True)
+class _Side:
+    """The known partners on one side of every (relation, anchor) key.
+    Segment s of `adj` stores key s's sorted partners p_0 < p_1 < ... as
+    p_i - i + s * stride; the k-th non-partner is then k plus the number
+    of the segment's entries at most k + s * stride."""
+
+    keys: np.ndarray  # sorted distinct relation * n_e + anchor
+    counts: np.ndarray  # known partners per key
+    starts: np.ndarray  # first slot of each key's segment in `adj`
+    adj: np.ndarray
+    stride: int  # n_e + 1, above any p_i - i
+
+    def nth_free(self, seg: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The k-th (from 0) entity that is not a known partner of key seg."""
+        return k + np.searchsorted(self.adj, k + seg * self.stride, side="right") - self.starts[seg]
+
+
+def _side(key: np.ndarray, partner: np.ndarray, n_e: int) -> _Side:
+    order = np.lexsort((partner, key))
+    key, partner = key[order], partner[order]
+    keys, seg, counts = np.unique(key, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    adj = partner - (np.arange(len(key)) - starts[seg]) + seg * (n_e + 1)
+    return _Side(keys, counts, starts, adj, n_e + 1)
+
+
+def _complement_index(pos: np.ndarray, n_e: int) -> tuple[_Side, _Side]:
+    """(tail side, head side) for the (h, r, t) rows `pos`: the known tails
+    of each (h, r) and the known heads of each (r, t)."""
+    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
+    return _side(r * n_e + h, t, n_e), _side(r * n_e + t, h, n_e)
+
+
 def _sample_negatives(
     rng: np.random.Generator,
     pos: np.ndarray,
     n_entities: int,
-    known: set[tuple[int, int, int]],
+    known: tuple[_Side, _Side],
     per_positive: int,
 ) -> np.ndarray:
-    """Corrupt head or tail uniformly, resampling accidental positives up
-    to 100 times before skipping a slot."""
-    sides = rng.integers(0, 2, size=(len(pos), per_positive))
-    cands = rng.integers(0, n_entities, size=(len(pos), per_positive))
-    out = []
-    for i in range(len(pos)):
-        h, r, t = (int(pos[i, 0]), int(pos[i, 1]), int(pos[i, 2]))
-        for j in range(per_positive):
-            c = int(cands[i, j])
-            corrupt_head = bool(sides[i, j])
-            ok = False
-            for _ in range(100):
-                trial = (c, r, t) if corrupt_head else (h, r, c)
-                if trial not in known:
-                    ok = True
-                    break
-                c = int(rng.integers(0, n_entities))
-            if ok:
-                out.append((i, *trial))
-    return np.array(out, dtype=np.int64).reshape(-1, 4)
+    """Corrupt head or tail with an entity drawn uniformly from those that
+    form no known positive there (`known` is `_complement_index` of all
+    positives).  A slot whose drawn side has no such entity corrupts the
+    other side; it is dropped only when both are full.  Rows are
+    (positive index, h, r, t) in slot order."""
+    n_e, n = n_entities, len(pos)
+    sides = rng.integers(0, 2, size=(n, per_positive))
+    u = rng.random((n, per_positive))
+    tail, head = known
+    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
+    seg_t = np.searchsorted(tail.keys, r * n_e + h)
+    seg_h = np.searchsorted(head.keys, r * n_e + t)
+    free_t = (n_e - tail.counts[seg_t])[:, None]
+    free_h = (n_e - head.counts[seg_h])[:, None]
+    corrupt_head = np.where(sides == 1, free_h > 0, free_t == 0)
+    free = np.where(corrupt_head, free_h, free_t)
+    k = np.minimum((u * free).astype(np.int64), free - 1)  # u * free may round up to free
+
+    out = np.repeat(np.column_stack([np.arange(n), pos]), per_positive, axis=0)
+    out = out.reshape(n, per_positive, 4)
+    rows, cols = np.nonzero(corrupt_head & (free > 0))
+    out[rows, cols, 1] = head.nth_free(seg_h[rows], k[rows, cols])
+    rows, cols = np.nonzero(~corrupt_head & (free > 0))
+    out[rows, cols, 3] = tail.nth_free(seg_t[rows], k[rows, cols])
+    return out[free > 0]
 
 
 def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingModel:
@@ -310,7 +358,7 @@ def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingMod
         ],
         dtype=np.int64,
     )
-    known = {tuple(row) for row in pos.tolist()}
+    known = _complement_index(pos, n_e)
 
     acc = Gradients(
         np.zeros_like(e_re), np.zeros_like(e_im), np.zeros_like(r_re), np.zeros_like(r_im)
@@ -439,7 +487,9 @@ def predict_missing(
 
     Candidate subjects are the model-covered entities sharing a type with
     the relation's observed subjects (all data-statement subjects when the
-    observed subjects carry no types).  Confidence is sigmoid(score); only
+    observed subjects carry no types).  Candidate tails are type-constrained
+    the same way: an entity must share a class with the relation's observed
+    objects, unless those are untyped.  Confidence is sigmoid(score); only
     the top-k proposals strictly above the threshold are emitted, flagged
     as predicted.  Equal scores rank the lower entity row first: rows are
     numbered in `Term.sort_key` order (a trained model's vocabulary, kept
@@ -447,21 +497,30 @@ def predict_missing(
     """
     data = [st for st in kg.data_statements]
     subjects_by_relation: dict[str, set[Term]] = {}
+    objects_by_relation: dict[str, set[Term]] = {}
     objects_by_subject_relation: dict[tuple[Term, str], set[Term]] = {}
     for st in data:
         t = st.triple
         subjects_by_relation.setdefault(t.predicate.value, set()).add(t.subject)
+        objects_by_relation.setdefault(t.predicate.value, set()).add(t.object)
         objects_by_subject_relation.setdefault((t.subject, t.predicate.value), set()).add(t.object)
 
     class_map = kg.class_map()
     all_subjects = {st.triple.subject for st in data}
+    entities = model.entities
+
+    def types_of(terms: set[Term]) -> set[str]:
+        return set().union(*(class_map.get(e, set()) for e in terms))
+
     out: list[ScoredTriple] = []
     for rel in sorted(candidate_relations, key=Term.sort_key):
         r = model.relation_row(rel)
-        observed = subjects_by_relation.get(rel.value, set())
-        observed_types: set[str] = set()
-        for s in observed:
-            observed_types |= class_map.get(s, set())
+        observed_types = types_of(subjects_by_relation.get(rel.value, set()))
+        range_types = types_of(objects_by_relation.get(rel.value, set()))
+        barred = np.array(
+            [bool(range_types) and not class_map.get(e, set()) & range_types for e in entities],
+            dtype=bool,
+        )
         if observed_types:
             pool = {
                 e
@@ -474,10 +533,10 @@ def predict_missing(
             (e for e in pool if (e, rel.value) not in objects_by_subject_relation),
             key=Term.sort_key,
         )
-        entities = model.entities
         for subject in candidates:
             s_row = model.entity_row(subject)
             scores = _all_tail_scores(model, s_row, r)
+            scores[barred] = -np.inf
             conf = _sigmoid(scores)
             order = np.argsort(-scores, kind="stable")
             emitted = 0
@@ -486,7 +545,7 @@ def predict_missing(
                     break
                 if i == s_row:
                     continue
-                if conf[i] <= threshold:
+                if barred[i] or conf[i] <= threshold:
                     break
                 out.append(
                     ScoredTriple(

@@ -367,10 +367,11 @@ def complete_phase(
         predictions = completion.predict_missing(model, kg, relations, threshold, top_k)
         for st in predictions:
             kg.add(st)
-        report["trained_on"] = len(pool)
+        report["trained_on"] = len(train_split)
         report["entities"] = len(model.entity_index)
         report["relations"] = len(model.relation_index)
         report["final_loss"] = model.loss_history[-1]
+        report["loss_history"] = model.loss_history
         report["predictions"] = [
             {"triple": render_triple(st.triple), "confidence": round(st.confidence, 9)}
             for st in predictions

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import fixture_factory as ff
 from ontogen.completion import (
+    _complement_index,
+    _row_sums,
+    _sample_negatives,
     CompletionError,
     EmbeddingModel,
     TrainConfig,
@@ -18,7 +21,7 @@ from ontogen.completion import (
     train,
     training_triples,
 )
-from ontogen.model import KnowledgeGraph, Term, Triple
+from ontogen.model import RDF_TYPE, KnowledgeGraph, Term, Triple
 
 
 def iri(v: str) -> Term:
@@ -174,6 +177,95 @@ class TestLossAndGradient:
                     fd = (lp - lm) / (2 * h)
                     denom = max(abs(fd), abs(analytic[i, j]), 1e-8)
                     assert abs(fd - analytic[i, j]) / denom < 1e-4
+
+
+class TestRowSums:
+    def test_matches_add_at_accumulation(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n_ids = int(rng.integers(1, 40))
+            ids = rng.integers(0, n_ids, int(rng.integers(1, 300)))
+            values = rng.normal(size=(len(ids), int(rng.integers(1, 9))))
+            distinct, sums = _row_sums(ids, values)
+            ref = np.zeros((n_ids, values.shape[1]))
+            np.add.at(ref, ids, values)
+            assert np.array_equal(distinct, np.unique(ids))
+            # rtol on the scale of the summands: a near-cancelling sum has
+            # no relative accuracy in any summation order
+            scale = np.zeros_like(ref)
+            np.add.at(scale, ids, np.abs(values))
+            assert np.all(np.abs(sums - ref[distinct]) <= 1e-12 * scale[distinct])
+
+    def test_several_value_arrays_share_one_order(self):
+        ids = np.array([3, 1, 3, 0, 1])
+        a = np.arange(10.0).reshape(5, 2)
+        distinct, sa, sb = _row_sums(ids, a, -a)
+        assert distinct.tolist() == [0, 1, 3]
+        assert sa.tolist() == [[6, 7], [10, 12], [4, 6]]
+        assert np.array_equal(sb, -sa)
+
+
+def _random_positives(rng, n_e, n_r):
+    m = int(rng.integers(1, n_e * n_e * n_r + 1))
+    rows = np.stack(
+        [rng.integers(0, n_e, m), rng.integers(0, n_r, m), rng.integers(0, n_e, m)], axis=1
+    )
+    return np.unique(rows, axis=0)
+
+
+class TestSampleNegatives:
+    def test_draws_avoid_positives_and_keep_relation_and_other_end(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n_e, n_r = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            pos = _random_positives(rng, n_e, n_r)
+            known = {tuple(row) for row in pos.tolist()}
+            both_full = [
+                sum((e, r, t) in known for e in range(n_e)) == n_e
+                and sum((h, r, e) in known for e in range(n_e)) == n_e
+                for h, r, t in pos.tolist()
+            ]
+            negs = _sample_negatives(rng, pos, n_e, _complement_index(pos, n_e), 5)
+            assert len(negs) == 5 * (len(pos) - sum(both_full))
+            assert negs[:, 0].tolist() == sorted(negs[:, 0].tolist())
+            for i, h, r, t in negs.tolist():
+                ph, pr, pt = pos[i].tolist()
+                assert (h, r, t) not in known
+                assert r == pr and (h == ph) != (t == pt)
+                assert 0 <= h < n_e and 0 <= t < n_e
+
+    def test_draws_are_uniform_over_the_complement(self):
+        # known tails of (e0, r0): {1, 3, 4}; known heads of (r0, e1): {0, 2, 5}
+        pos = np.array([[0, 0, 1], [0, 0, 3], [0, 0, 4], [2, 0, 1], [5, 0, 1]])
+        index = _complement_index(pos, 10)
+        batch = np.repeat(pos[:1], 2000, axis=0)
+        negs = _sample_negatives(np.random.default_rng(5), batch, 10, index, 5)
+        assert len(negs) == 10_000
+        tail_draws = negs[negs[:, 1] == 0, 3]
+        head_draws = negs[negs[:, 3] == 1, 1]
+        assert len(tail_draws) + len(head_draws) == 10_000
+        tail_free, head_free = [0, 2, 5, 6, 7, 8, 9], [1, 3, 4, 6, 7, 8, 9]
+        for draws, free in ((tail_draws, tail_free), (head_draws, head_free)):
+            counts = np.bincount(draws, minlength=10)
+            assert set(np.flatnonzero(counts)) == set(free)
+            expected = len(draws) / len(free)
+            chi2 = float(((counts[free] - expected) ** 2 / expected).sum())
+            assert chi2 < 22.46  # chi-square, 6 degrees of freedom, p = 0.001
+
+    def test_full_head_side_falls_over_to_tail(self):
+        # every entity is a known head of (r0, e0)
+        pos = np.array([[e, 0, 0] for e in range(4)])
+        index = _complement_index(pos, 4)
+        negs = _sample_negatives(np.random.default_rng(0), pos[:1].repeat(50, axis=0), 4, index, 4)
+        assert len(negs) == 200
+        assert np.all(negs[:, 1] == 0) and np.all(negs[:, 3] != 0)
+
+    def test_slot_with_both_sides_full_is_dropped(self):
+        # relation 0 holds every pair of the two entities; relation 1 holds one
+        pos = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1], [0, 1, 0]])
+        negs = _sample_negatives(np.random.default_rng(0), pos, 2, _complement_index(pos, 2), 3)
+        assert negs[:, 0].tolist() == [4, 4, 4]
+        assert all(tuple(row) in {(1, 1, 0), (0, 1, 1)} for row in negs[:, 1:].tolist())
 
 
 class TestTrain:
@@ -385,6 +477,41 @@ class TestPredictMissing:
         # the implausible-link company already has a focus statement, so the
         # candidates here are the 430 minus nothing; planted errors count as assigned
         assert set(subjects) == set(fortune.unassigned)
+
+    def _typed_graph(self, typed_objects: bool):
+        # one-dimensional real model: score(h, r, t) = h * t, so for the
+        # subject c1 the company c4 (5) outscores the focus values f2 (2), f1 (1)
+        names = ["c1", "c2", "c3", "c4", "f1", "f2"]
+        ents = [iri(n) for n in names]
+        rel = iri("focus")
+        m = EmbeddingModel(
+            np.array([[1.0], [1.0], [1.0], [5.0], [1.0], [2.0]]), np.zeros((6, 1)),
+            np.ones((1, 1)), np.zeros((1, 1)),
+            {e: i for i, e in enumerate(ents)}, {rel: 0}, 1,
+        )
+        kg = KnowledgeGraph()
+        for e in ents[:4]:
+            kg.add_triple(Triple(e, Term.iri(RDF_TYPE), iri("Company")), 0.9)
+        if typed_objects:
+            for e in ents[4:]:
+                kg.add_triple(Triple(e, Term.iri(RDF_TYPE), iri("Focus")), 0.9)
+        kg.add_triple(Triple(ents[0], iri("rival"), ents[1]), 0.9)
+        kg.add_triple(Triple(ents[1], rel, ents[4]), 0.9)
+        kg.add_triple(Triple(ents[2], rel, ents[5]), 0.9)
+        kg.add_triple(Triple(ents[3], rel, ents[4]), 0.9)
+        return m, kg, ents, rel
+
+    def test_tails_share_a_class_with_observed_objects(self):
+        m, kg, ents, rel = self._typed_graph(typed_objects=True)
+        preds = predict_missing(m, kg, [rel], threshold=0.5, top_k=3)
+        assert [(p.triple.subject, p.triple.object) for p in preds] == [
+            (ents[0], ents[5]), (ents[0], ents[4])
+        ]
+
+    def test_untyped_observed_objects_add_no_constraint(self):
+        m, kg, ents, rel = self._typed_graph(typed_objects=False)
+        preds = predict_missing(m, kg, [rel], threshold=0.5, top_k=1)
+        assert [(p.triple.subject, p.triple.object) for p in preds] == [(ents[0], ents[3])]
 
 
 class TestAgreementCheck:

@@ -8,7 +8,8 @@ import yaml
 import fixture_factory as ff
 from ontogen import pipeline
 from ontogen.cli import main as cli_main
-from ontogen.model import Triple
+from ontogen.completion import TrainConfig
+from ontogen.model import KnowledgeGraph, Triple
 from ontogen.rdf_io import parse_ntriples, render_triple
 
 
@@ -235,6 +236,17 @@ class TestRunHoldout:
         assert report["holdout"]["evaluated"] > 0
         assert 0.0 <= report["holdout"]["mrr"] <= 1.0
         assert report["predicted_count"] == 0
+
+
+class TestCompletePhase:
+    def test_report_counts_the_training_split_and_keeps_the_loss_curve(self):
+        kg = KnowledgeGraph()
+        for t in ff.kinship_triples():
+            kg.add_triple(t, 0.9)
+        _, report = pipeline.complete_phase(kg, TrainConfig(dimension=4, epochs=3), [], holdout=0.2)
+        assert report["trained_on"] == 160
+        assert len(report["loss_history"]) == 3
+        assert report["loss_history"][-1] == report["final_loss"]
 
 
 class TestCli:
