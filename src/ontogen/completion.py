@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import string_similarity
-from .model import KnowledgeGraph, META_CLASSES, ScoredTriple, Term, Triple
+from .model import KnowledgeGraph, META_CLASSES, ScoredTriple, Term, Triple, is_schema_triple
 from .rdf_io import parse_term, render_term
 
 _ADAGRAD_EPS = 1e-10
@@ -40,8 +40,6 @@ class TrainConfig:
     l2_lambda: float = 1e-3
     negatives_per_positive: int = 5
     seed: int = 42
-    loss: str = "logistic"  # or "margin"
-    margin: float = 1.0
     #: pin relation imaginary parts to zero (symmetric control model)
     real_relations: bool = False
 
@@ -50,8 +48,6 @@ class TrainConfig:
             raise CompletionError("dimension, epochs, and batch_size must be positive")
         if self.learning_rate <= 0 or self.l2_lambda < 0 or self.negatives_per_positive <= 0:
             raise CompletionError("learning_rate and negatives must be positive, l2 non-negative")
-        if self.loss not in ("logistic", "margin"):
-            raise CompletionError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -104,19 +100,16 @@ def score(model: EmbeddingModel, h: Term, r: Term, t: Term) -> float:
     return float(_core(model, hi, ri, ti)[0][0])
 
 
-def _all_tail_scores(m: EmbeddingModel, h: int, r: int) -> np.ndarray:
+def _all_tail_scores(m: EmbeddingModel, h: int, r: int, conjugate: bool = False) -> np.ndarray:
+    """Scores of (h, r, e) for every entity e.  With the relation
+    conjugated they are the scores of (e, r, h), because
+    Re(conj(r) h conj(e)) equals Re(r e conj(h))."""
     h_re, h_im = m.entity_re[h], m.entity_im[h]
     r_re, r_im = m.relation_re[r], m.relation_im[r]
+    if conjugate:
+        r_im = -r_im
     c_re = r_re * h_re - r_im * h_im
     c_im = r_re * h_im + r_im * h_re
-    return m.entity_re @ c_re + m.entity_im @ c_im
-
-
-def _all_head_scores(m: EmbeddingModel, r: int, t: int) -> np.ndarray:
-    t_re, t_im = m.entity_re[t], m.entity_im[t]
-    r_re, r_im = m.relation_re[r], m.relation_im[r]
-    c_re = r_re * t_re + r_im * t_im
-    c_im = r_re * t_im - r_im * t_re
     return m.entity_re @ c_re + m.entity_im @ c_im
 
 
@@ -200,17 +193,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _margin_dldf(f: np.ndarray, pair: np.ndarray, margin: float) -> np.ndarray:
-    """Margin-ranking derivative: negative j (after the positives) pairs
-    with positive pair[j]; an active pair pushes the two scores apart."""
-    n_pos = len(f) - len(pair)
-    active = ((margin - f[pair] + f[n_pos:]) > 0).astype(float)
-    dldf = np.zeros_like(f)
-    np.add.at(dldf, pair, -active)
-    dldf[n_pos:] = active
-    return dldf
 
 
 def loss_and_gradient(
@@ -376,18 +358,9 @@ def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingMod
             h = np.concatenate([batch_pos[:, 0], negs[:, 1]])
             r = np.concatenate([batch_pos[:, 1], negs[:, 2]])
             t = np.concatenate([batch_pos[:, 2], negs[:, 3]])
-            n_pos = len(batch_pos)
-
-            if cfg.loss == "logistic":
-                y = np.concatenate([np.ones(n_pos), -np.ones(len(negs))])
-                f, step = _core(model, h, r, t, lambda s: -y * _sigmoid(-y * s), lam)
-                epoch_loss += float(np.logaddexp(0.0, -y * f).sum())
-            else:
-                # margin ranking: each negative pairs with its positive
-                f, step = _core(
-                    model, h, r, t, lambda s: _margin_dldf(s, negs[:, 0], cfg.margin), lam
-                )
-                epoch_loss += float(np.maximum(0.0, cfg.margin - f[negs[:, 0]] + f[n_pos:]).sum())
+            y = np.concatenate([np.ones(len(batch_pos)), -np.ones(len(negs))])
+            f, step = _core(model, h, r, t, lambda s: -y * _sigmoid(-y * s), lam)
+            epoch_loss += float(np.logaddexp(0.0, -y * f).sum())
             epoch_loss += step.l2
             examples += len(f)
 
@@ -431,8 +404,8 @@ def evaluate(
     ranking; ties rank the true entity after its equals (pessimistic).
     `evaluated` counts ranking directions (two per test triple).
     """
-    known_tails: dict[tuple[int, int], set[int]] = {}
-    known_heads: dict[tuple[int, int], set[int]] = {}
+    # (conjugate, anchor, relation) -> the answers known for that ranking
+    known: dict[tuple[bool, int, int], set[int]] = {}
     for t in all_known:
         try:
             h = model.entity_row(t.subject)
@@ -440,28 +413,21 @@ def evaluate(
             o = model.entity_row(t.object)
         except CompletionError:
             continue
-        known_tails.setdefault((h, r), set()).add(o)
-        known_heads.setdefault((r, o), set()).add(h)
+        known.setdefault((False, h, r), set()).add(o)
+        known.setdefault((True, o, r), set()).add(h)
 
     ranks: list[int] = []
     for t in test_triples:
         h = model.entity_row(t.subject)
         r = model.relation_row(t.predicate)
         o = model.entity_row(t.object)
-
-        tail_scores = _all_tail_scores(model, h, r)
-        mask = np.zeros(len(tail_scores), dtype=bool)
-        mask[list(known_tails.get((h, r), ()))] = True
-        mask[o] = False
-        scores = np.where(mask, -np.inf, tail_scores)
-        ranks.append(1 + int((np.delete(scores, o) >= scores[o]).sum()))
-
-        head_scores = _all_head_scores(model, r, o)
-        mask = np.zeros(len(head_scores), dtype=bool)
-        mask[list(known_heads.get((r, o), ()))] = True
-        mask[h] = False
-        scores = np.where(mask, -np.inf, head_scores)
-        ranks.append(1 + int((np.delete(scores, h) >= scores[h]).sum()))
+        for anchor, answer, conjugate in ((h, o, False), (o, h, True)):
+            scores = _all_tail_scores(model, anchor, r, conjugate)
+            mask = np.zeros(len(scores), dtype=bool)
+            mask[list(known.get((conjugate, anchor, r), ()))] = True
+            mask[answer] = False
+            scores = np.where(mask, -np.inf, scores)
+            ranks.append(1 + int((np.delete(scores, answer) >= scores[answer]).sum()))
 
     arr = np.array(ranks, dtype=float)
     if len(arr) == 0:
@@ -495,18 +461,8 @@ def predict_missing(
     numbered in `Term.sort_key` order (a trained model's vocabulary, kept
     by `load_model`), so ties fall to the smaller sort key.
     """
-    data = [st for st in kg.data_statements]
-    subjects_by_relation: dict[str, set[Term]] = {}
-    objects_by_relation: dict[str, set[Term]] = {}
-    objects_by_subject_relation: dict[tuple[Term, str], set[Term]] = {}
-    for st in data:
-        t = st.triple
-        subjects_by_relation.setdefault(t.predicate.value, set()).add(t.subject)
-        objects_by_relation.setdefault(t.predicate.value, set()).add(t.object)
-        objects_by_subject_relation.setdefault((t.subject, t.predicate.value), set()).add(t.object)
-
     class_map = kg.class_map()
-    all_subjects = {st.triple.subject for st in data}
+    all_subjects = {st.triple.subject for st in kg.data_statements}
     entities = model.entities
 
     def types_of(terms: set[Term]) -> set[str]:
@@ -515,8 +471,12 @@ def predict_missing(
     out: list[ScoredTriple] = []
     for rel in sorted(candidate_relations, key=Term.sort_key):
         r = model.relation_row(rel)
-        observed_types = types_of(subjects_by_relation.get(rel.value, set()))
-        range_types = types_of(objects_by_relation.get(rel.value, set()))
+        observed = [
+            st.triple for st in kg.with_predicate(rel.value) if not is_schema_triple(st.triple)
+        ]
+        subjects = {t.subject for t in observed}
+        observed_types = types_of(subjects)
+        range_types = types_of({t.object for t in observed})
         barred = np.array(
             [bool(range_types) and not class_map.get(e, set()) & range_types for e in entities],
             dtype=bool,
@@ -529,10 +489,7 @@ def predict_missing(
             }
         else:
             pool = {e for e in all_subjects if e in model.entity_index}
-        candidates = sorted(
-            (e for e in pool if (e, rel.value) not in objects_by_subject_relation),
-            key=Term.sort_key,
-        )
+        candidates = sorted(pool - subjects, key=Term.sort_key)
         for subject in candidates:
             s_row = model.entity_row(subject)
             scores = _all_tail_scores(model, s_row, r)

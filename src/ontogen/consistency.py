@@ -22,6 +22,7 @@ from .model import (
     Term,
     Triple,
     is_schema_triple,
+    reachable,
 )
 
 log = logging.getLogger(__name__)
@@ -62,36 +63,26 @@ def okg_concepts(kg: KnowledgeGraph) -> set[str]:
     return out
 
 
-def _reachable(edges: set[tuple[str, str]], start: frozenset[str]) -> set[str]:
-    """`start` plus every class reachable from it along (from, to) edges."""
-    out = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in edges:
-            if a in out and b not in out:
-                out.add(b)
-                changed = True
-    return out
-
-
 def _instances_of(kg: KnowledgeGraph, c: str) -> set[Term]:
     """Entities typed c or, through the graph's subclass edges, a descendant."""
-    classes = _reachable({(parent, child) for child, parent in kg.subclass_edges()}, frozenset({c}))
+    classes = reachable(((parent, child) for child, parent in kg.subclass_edges()), {c})
     by_class = kg.entities_by_class()
-    out: set[Term] = set()
-    for cls in classes:
-        out |= by_class.get(cls, set())
-    return out
+    return set().union(*(by_class.get(cls, set()) for cls in classes))
 
 
 def _concept_slice(kg: KnowledgeGraph, c: str) -> list[Triple]:
-    """Data statements about c's instances, in canonical order."""
+    """Data statements about c's instances, in canonical order: the
+    statements of each instance, instances in `Term.sort_key` order."""
     instances = _instances_of(kg, c)
     if not instances:
         log.warning("concept %s has no instances in the generated graph", c)
         return []
-    return [st.triple for st in kg.data_statements if st.triple.subject in instances]
+    return [
+        st.triple
+        for e in sorted(instances, key=Term.sort_key)
+        for st in kg.about(e)
+        if not is_schema_triple(st.triple)
+    ]
 
 
 def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
@@ -133,7 +124,7 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
     def closure(found: set[str]) -> set[str]:
         key = frozenset(found)
         if key not in closures:
-            closures[key] = _reachable(edges, key)
+            closures[key] = reachable(edges, key)
         return closures[key]
 
     for st in kg.data_statements:

@@ -6,16 +6,18 @@ declarations) separately from scored data statements.  Graph values are
 treated as immutable once a build phase hands them off; mutation happens
 only inside single-owner build steps.
 
-The canonical statement order is sorted once, on the first ordered read,
-and kept until the set of triples changes: an `add` of a new triple or a
-successful `remove` drops it, while raising the confidence of an existing
-triple keeps it.  `copy()` shares the kept order with the copy.
+The ordered and grouped views read one index, built on the first read:
+the statements in canonical order, and the same statements grouped by
+predicate IRI and by subject, each group in canonical order.  Any write
+to the store drops it: a new triple, a higher-confidence re-add, or a
+successful `remove`.  `copy()` shares the index with the copy.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -147,6 +149,20 @@ def is_schema_triple(t: Triple) -> bool:
     return t.predicate.value in SCHEMA_PREDICATES
 
 
+class _Index:
+    """The statements of a store in canonical order, and the same statements
+    grouped by predicate IRI and by subject, each group in canonical order.
+    Never changed after it is built, so graphs may share it."""
+
+    def __init__(self, store: dict[Triple, ScoredTriple]) -> None:
+        self.statements = sorted(store.values(), key=lambda st: st.triple.sort_key())
+        self.by_predicate: dict[str, list[ScoredTriple]] = {}
+        self.by_subject: dict[Term, list[ScoredTriple]] = {}
+        for st in self.statements:
+            self.by_predicate.setdefault(st.triple.predicate.value, []).append(st)
+            self.by_subject.setdefault(st.triple.subject, []).append(st)
+
+
 class KnowledgeGraph:
     """Set-semantics triple store split into schema and data views.
 
@@ -157,8 +173,8 @@ class KnowledgeGraph:
 
     def __init__(self) -> None:
         self._store: dict[Triple, ScoredTriple] = {}
-        # canonical order of the store's keys; None until the next ordered read
-        self._order: list[Triple] | None = None
+        # None until the next read through the index
+        self._idx: _Index | None = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -174,10 +190,9 @@ class KnowledgeGraph:
     def add(self, st: ScoredTriple) -> None:
         """Insert a statement; an existing copy keeps the max confidence."""
         old = self._store.get(st.triple)
-        if old is None:
-            self._order = None
         if old is None or st.confidence > old.confidence:
             self._store[st.triple] = st
+            self._idx = None
 
     def add_triple(self, t: Triple, confidence: float = 1.0, source_id: str | None = None) -> None:
         self.add(ScoredTriple(t, confidence, source_id))
@@ -185,34 +200,36 @@ class KnowledgeGraph:
     def remove(self, t: Triple) -> bool:
         if self._store.pop(t, None) is None:
             return False
-        self._order = None
+        self._idx = None
         return True
 
-    def _canonical(self) -> list[Triple]:
-        if self._order is None:
-            self._order = sorted(self._store, key=Triple.sort_key)
-        return self._order
+    def _index(self) -> _Index:
+        if self._idx is None:
+            self._idx = _Index(self._store)
+        return self._idx
 
     def statements(self) -> list[ScoredTriple]:
         """All statements sorted canonically, at their current confidence."""
-        store = self._store
-        return [store[t] for t in self._canonical()]
+        return list(self._index().statements)
 
     def triples(self) -> list[Triple]:
-        return list(self._canonical())
+        return [st.triple for st in self._index().statements]
 
     @property
     def schema_statements(self) -> list[Triple]:
-        return [t for t in self._canonical() if is_schema_triple(t)]
+        return [st.triple for st in self._index().statements if is_schema_triple(st.triple)]
 
     @property
     def data_statements(self) -> list[ScoredTriple]:
-        store = self._store
-        return [store[t] for t in self._canonical() if not is_schema_triple(t)]
+        return [st for st in self._index().statements if not is_schema_triple(st.triple)]
 
-    @property
-    def provenance(self) -> dict[Triple, str]:
-        return {t: s.source_id for t, s in self._store.items() if s.source_id is not None}
+    def with_predicate(self, predicate: str) -> list[ScoredTriple]:
+        """Statements whose predicate IRI is `predicate`, in canonical order."""
+        return list(self._index().by_predicate.get(predicate, []))
+
+    def about(self, subject: Term) -> list[ScoredTriple]:
+        """Statements whose subject is `subject`, in canonical order."""
+        return list(self._index().by_subject.get(subject, []))
 
     def confidence(self, t: Triple, default: float = 1.0) -> float:
         st = self._store.get(t)
@@ -224,72 +241,48 @@ class KnowledgeGraph:
     def copy(self) -> "KnowledgeGraph":
         kg = KnowledgeGraph()
         kg._store = dict(self._store)
-        kg._order = self._order  # never mutated in place, so safe to share
+        kg._idx = self._idx  # a write drops the index instead of changing it
         return kg
 
     # ------------------------------------------------------------------
     # schema helpers
 
     def type_assertions(self) -> list[Triple]:
-        return [t for t in self._canonical() if t.predicate.value == RDF_TYPE]
+        return [st.triple for st in self.with_predicate(RDF_TYPE)]
 
     def class_map(self) -> dict[Term, set[str]]:
-        """Asserted classes for every typed entity, computed in one pass."""
+        """Asserted classes for every typed entity."""
         out: dict[Term, set[str]] = defaultdict(set)
-        for t in self._store:
-            if t.predicate.value == RDF_TYPE and t.object.is_iri:
-                out[t.subject].add(t.object.value)
+        for st in self.with_predicate(RDF_TYPE):
+            if st.triple.object.is_iri:
+                out[st.triple.subject].add(st.triple.object.value)
         return dict(out)
 
     def entities_by_class(self) -> dict[str, set[Term]]:
         out: dict[str, set[Term]] = defaultdict(set)
-        for t in self._store:
-            if t.predicate.value == RDF_TYPE and t.object.is_iri:
-                out[t.object.value].add(t.subject)
+        for st in self.with_predicate(RDF_TYPE):
+            if st.triple.object.is_iri:
+                out[st.triple.object.value].add(st.triple.subject)
         return dict(out)
 
     def subclass_edges(self) -> set[tuple[str, str]]:
         return {
-            (t.subject.value, t.object.value)
-            for t in self._store
-            if t.predicate.value == RDFS_SUBCLASS_OF and t.subject.is_iri and t.object.is_iri
+            (st.triple.subject.value, st.triple.object.value)
+            for st in self.with_predicate(RDFS_SUBCLASS_OF)
+            if st.triple.subject.is_iri and st.triple.object.is_iri
         }
-
-    def declared_classes(self) -> set[str]:
-        """Class IRIs declared via rdf:type rdfs:Class/owl:Class or subclass edges."""
-        out = set()
-        for t in self._store:
-            if t.predicate.value == RDF_TYPE and t.object.is_iri and t.object.value in _CLASS_DECLARATIONS:
-                out.add(t.subject.value)
-            elif t.predicate.value == RDFS_SUBCLASS_OF:
-                if t.subject.is_iri:
-                    out.add(t.subject.value)
-                if t.object.is_iri:
-                    out.add(t.object.value)
-        return out
 
     def unknown_classes(self) -> set[str]:
-        """Classes referenced by type assertions but never declared."""
-        declared = self.declared_classes()
-        used = {
-            t.object.value
-            for t in self._store
-            if t.predicate.value == RDF_TYPE and t.object.is_iri
-        }
-        used -= _CLASS_DECLARATIONS | _PROPERTY_DECLARATIONS
-        return used - declared
+        """Classes referenced by type assertions but never declared, either
+        typed rdfs:Class/owl:Class or on either side of a subclass edge."""
+        types = [st.triple for st in self.with_predicate(RDF_TYPE) if st.triple.object.is_iri]
+        declared = {t.subject.value for t in types if t.object.value in _CLASS_DECLARATIONS}
+        for st in self.with_predicate(RDFS_SUBCLASS_OF):
+            declared.update(x.value for x in (st.triple.subject, st.triple.object) if x.is_iri)
+        return {t.object.value for t in types} - META_CLASSES - declared
 
     # ------------------------------------------------------------------
     # graph structure
-
-    def data_nodes(self) -> set[Term]:
-        """Subject/object terms of data statements."""
-        nodes = set()
-        for t in self._store:
-            if not is_schema_triple(t):
-                nodes.add(t.subject)
-                nodes.add(t.object)
-        return nodes
 
     def nodes(self) -> set[Term]:
         nodes = set()
@@ -297,6 +290,21 @@ class KnowledgeGraph:
             nodes.add(t.subject)
             nodes.add(t.object)
         return nodes
+
+
+def reachable(edges: Iterable[tuple[str, str]], start: Iterable[str]) -> set[str]:
+    """`start` plus every node reachable from it along directed (from, to) edges."""
+    successors: dict[str, list[str]] = defaultdict(list)
+    for a, b in edges:
+        successors[a].append(b)
+    out = set(start)
+    stack = list(out)
+    while stack:
+        for b in successors.get(stack.pop(), ()):
+            if b not in out:
+                out.add(b)
+                stack.append(b)
+    return out
 
 
 def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
@@ -371,16 +379,7 @@ class OntologySchema:
         """Transitive superclass closure of c, excluding c itself."""
         if c not in self.classes:
             raise UnknownClassError(f"unknown class {c!r}")
-        out: set[str] = set()
-        frontier = [c]
-        while frontier:
-            node = frontier.pop()
-            for child, par in self.subclass_edges:
-                if child == node and par not in out:
-                    out.add(par)
-                    frontier.append(par)
-        out.discard(c)
-        return out
+        return reachable(self.subclass_edges, {c}) - {c}
 
     def ancestors_or_self(self, c: str) -> set[str]:
         return self.ancestors(c) | {c}
@@ -404,22 +403,10 @@ class OntologySchema:
         """Raise ModelError on cyclic subclass edges or self/ancestor disjointness."""
         for child, par in self.subclass_edges:
             self.classes.update((child, par))
-        order: dict[str, int] = {}
-
-        def visit(node: str, stack: set[str]) -> None:
-            if node in order:
-                return
-            if node in stack:
-                raise ModelError(f"subclass cycle through {node!r}")
-            stack.add(node)
-            for child, par in self.subclass_edges:
-                if child == node:
-                    visit(par, stack)
-            stack.discard(node)
-            order[node] = len(order)
-
         for c in sorted(self.classes):
-            visit(c, set())
+            parents = {par for child, par in self.subclass_edges if child == c}
+            if c in reachable(self.subclass_edges, parents):
+                raise ModelError(f"subclass cycle through {c!r}")
 
         for a, b in sorted(self.disjoint_pairs):
             if a == b:

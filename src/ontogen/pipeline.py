@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from . import cleaning, completion, consistency, correction, refinement
-from .model import KnowledgeGraph, OntologySchema, Term, ontology_from_triples
+from .model import KnowledgeGraph, OntologySchema, Term, is_schema_triple, ontology_from_triples
 from .rdf_io import (
     local_name,
     parse_ntriples,
@@ -514,8 +514,8 @@ def _agreement_rates(
     for rel in relations:
         existing: dict[Term, Term] = {}
         observed_objects: set[Term] = set()
-        for st in kg.data_statements:
-            if st.triple.predicate == rel and not st.predicted:
+        for st in kg.with_predicate(rel.value):
+            if not (st.predicted or is_schema_triple(st.triple)):
                 existing.setdefault(st.triple.subject, st.triple.object)
                 observed_objects.add(st.triple.object)
         if not existing:

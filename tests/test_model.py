@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ontogen.model import (
+    OWL_CLASS,
+    RDFS_CLASS,
+    RDFS_DOMAIN,
     KnowledgeGraph,
     ModelError,
     OntologySchema,
@@ -13,6 +16,7 @@ from ontogen.model import (
     UnknownClassError,
     connected_components,
     is_schema_triple,
+    reachable,
 )
 
 
@@ -101,21 +105,18 @@ class TestKnowledgeGraph:
         kg.add_triple(Triple(iri("Mystery"), Term.iri(RDFS_SUBCLASS_OF), iri("Thing")))
         assert kg.unknown_classes() == set()
 
-    def test_provenance(self):
-        kg = KnowledgeGraph()
-        t = triple("s", "p", "o")
-        kg.add(ScoredTriple(t, 0.5, source_id="gen-1"))
-        assert kg.provenance[t] == "gen-1"
-
 
 def _views(kg: KnowledgeGraph) -> tuple:
     return (
         kg.statements(),
         kg.triples(),
         kg.data_statements,
+        kg.schema_statements,
+        kg.type_assertions(),
         kg.class_map(),
         kg.entities_by_class(),
         kg.subclass_edges(),
+        kg.unknown_classes(),
     )
 
 
@@ -200,6 +201,8 @@ class TestCanonicalOrderCache:
             lambda: kg.data_statements,
             lambda: kg.schema_statements,
             lambda: kg.type_assertions(),
+            lambda: kg.with_predicate(RDF_TYPE),
+            lambda: kg.about(iri("m")),
         ):
             first = read()
             snapshot = list(first)
@@ -207,6 +210,133 @@ class TestCanonicalOrderCache:
             first.append(first[0])
             assert read() == snapshot
         assert _views(kg) == _views(_rebuilt(expected))
+
+
+# a small vocabulary, so that random operations hit the same triples often
+_SUBJECTS = [iri("n0"), iri("n1"), iri("C0"), Term.blank("b0")]
+_PREDICATES = [iri("p0"), iri("p1")] + [
+    Term.iri(p) for p in (RDF_TYPE, RDFS_SUBCLASS_OF, RDFS_DOMAIN)
+]
+_OBJECTS = _SUBJECTS + [iri("C1"), Term.iri(RDFS_CLASS), Term.iri(OWL_CLASS), Term.literal("v")]
+
+_triples = st.builds(
+    Triple, st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES), st.sampled_from(_OBJECTS)
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.integers(0, 2),
+            _triples,
+            st.sampled_from([0.1, 0.5, 0.9]),
+            st.sampled_from([None, "src"]),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 2), _triples),
+        st.tuples(st.just("copy"), st.integers(0, 2)),
+    ),
+    max_size=30,
+)
+
+
+def _brute_views(store: dict[Triple, ScoredTriple]) -> tuple:
+    """Every view of a graph holding `store`, by scanning the plain dict."""
+    ordered = sorted(store.values(), key=lambda s: s.triple.sort_key())
+    types = [s.triple for s in ordered if s.triple.predicate.value == RDF_TYPE]
+    class_map: dict = {}
+    by_class: dict = {}
+    for t in types:
+        if t.object.is_iri:
+            class_map.setdefault(t.subject, set()).add(t.object.value)
+            by_class.setdefault(t.object.value, set()).add(t.subject)
+    subclass = [s.triple for s in ordered if s.triple.predicate.value == RDFS_SUBCLASS_OF]
+    iri_edges = [t for t in subclass if t.subject.is_iri and t.object.is_iri]
+    class_decls = (Term.iri(RDFS_CLASS), Term.iri(OWL_CLASS))
+    declared = {t.subject.value for t in types if t.object in class_decls}
+    declared |= {term.value for t in subclass for term in (t.subject, t.object) if term.is_iri}
+    used = {t.object.value for t in types if t.object.is_iri} - {RDFS_CLASS, OWL_CLASS}
+    return (
+        ordered,
+        [s.triple for s in ordered],
+        [s for s in ordered if not is_schema_triple(s.triple)],
+        [s.triple for s in ordered if is_schema_triple(s.triple)],
+        types,
+        class_map,
+        by_class,
+        {(t.subject.value, t.object.value) for t in iri_edges},
+        used - declared,
+        [[s for s in ordered if s.triple.predicate == p] for p in _PREDICATES],
+        [[s for s in ordered if s.triple.subject == e] for e in _OBJECTS if not e.is_literal],
+    )
+
+
+def _all_views(kg: KnowledgeGraph) -> tuple:
+    return (
+        *_views(kg),
+        [kg.with_predicate(p.value) for p in _PREDICATES],
+        [kg.about(e) for e in _OBJECTS if not e.is_literal],
+    )
+
+
+class TestIndexOracle:
+    """Every view of the index equals a scan of a plain dict after each of a
+    random sequence of adds (new, stronger, weaker), removes and copies."""
+
+    @given(_ops)
+    def test_views_match_a_scan_after_every_step(self, ops):
+        graphs = [(KnowledgeGraph(), {})]
+        for op in ops:
+            kg, expected = graphs[op[1] % len(graphs)]
+            if op[0] == "add":
+                _, _, t, conf, source = op
+                kg.add(ScoredTriple(t, conf, source))
+                if t not in expected or conf > expected[t].confidence:
+                    expected[t] = ScoredTriple(t, conf, source)
+            elif op[0] == "remove":
+                assert kg.remove(op[2]) == (expected.pop(op[2], None) is not None)
+            elif len(graphs) < 3:
+                graphs.append((kg.copy(), dict(expected)))
+            for g, exp in graphs:
+                assert _all_views(g) == _brute_views(exp)
+
+
+def _brute_closure(edges: set[tuple[int, int]], start: set[int]) -> set[int]:
+    """Fixed-point closure: add every edge target whose source is in the set."""
+    out = set(start)
+    while True:
+        grown = out | {b for a, b in edges if a in out}
+        if grown == out:
+            return out
+        out = grown
+
+
+_edge_sets = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20)
+
+
+class TestReachable:
+    @given(_edge_sets, st.sets(st.integers(0, 7), max_size=3))
+    def test_matches_brute_force_closure(self, edges, start):
+        assert reachable(edges, start) == _brute_closure(edges, start)
+
+    @given(_edge_sets)
+    def test_matches_brute_force_closure_on_acyclic_edges(self, edges):
+        edges = {(a, b) for a, b in edges if a < b}
+        for c in range(8):
+            assert reachable(edges, {c}) == _brute_closure(edges, {c})
+
+    @given(_edge_sets)
+    def test_validate_rejects_exactly_the_cyclic_inputs(self, edges):
+        cyclic = any(a in _brute_closure(edges, {b}) for a, b in edges)
+        schema = OntologySchema()
+        schema.subclass_edges |= {(f"c{a}", f"c{b}") for a, b in edges}
+        if cyclic:
+            with pytest.raises(ModelError, match="cycle"):
+                schema.validate()
+        else:
+            schema.validate()
+            for a in schema.classes:
+                assert schema.ancestors(a) == {
+                    f"c{n}" for n in _brute_closure(edges, {int(a[1:])})
+                } - {a}
 
 
 def brute_force_components(edges: list[tuple[Term, Term]]) -> list[frozenset[Term]]:
@@ -277,7 +407,7 @@ class TestConnectedComponents:
             kg.add_triple(triple(f"n{a}", f"p{i % 3}", f"n{b}"), 0.9)
             edges.append((iri(f"n{a}"), iri(f"n{b}")))
         comps = connected_components(kg)
-        all_nodes = kg.data_nodes()
+        all_nodes = {n for e in edges for n in e}
         covered = set()
         for comp in comps:
             assert not (comp & covered)

@@ -31,6 +31,13 @@ class TestValidate:
         assert len(diagnostics) == 1
         assert "refine" in diagnostics[0]
 
+    def test_unknown_complete_option_diagnostic(self, pipeline_config_path):
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        config.train_options = {"loss": "margin"}
+        diagnostics = pipeline.validate(config)
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("complete:") and "loss" in diagnostics[0]
+
     def test_missing_axiom_file_named(self, pipeline_config_path, tmp_path):
         config = pipeline.PipelineConfig.from_file(pipeline_config_path)
         config.reference_axioms = tmp_path / "gone.ttl"
