@@ -27,8 +27,8 @@ LRD_CAP = 1e12
 #: largest kept-statement sample mixed into the band's LOF context
 CONTEXT_POOL = 512
 
-#: rows of the LOF distance matrix computed per block, bounding the
-#: difference tensor at LOF_BLOCK x n x dims
+#: points whose distance rows are computed at once; LOF holds one
+#: LOF_BLOCK x n distance block plus the neighbor lists, never an n x n matrix
 LOF_BLOCK = 256
 
 
@@ -96,6 +96,23 @@ def threshold_filter(
     return kept, removed, band
 
 
+def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances from pts[start:stop] to every point.
+
+    Squares are added one dimension at a time: the same sequential sum
+    numpy takes over a short (< 8) last axis, so the rows equal
+    sqrt(((pts[:, None] - pts[None]) ** 2).sum(2)) bit for bit without a
+    rows x n x dims difference tensor.
+    """
+    block = pts[start:stop]
+    dist = np.zeros((len(block), len(pts)))
+    for d in range(pts.shape[1]):
+        diff = block[:, d, None] - pts[None, :, d]
+        diff *= diff
+        dist += diff
+    return np.sqrt(dist, out=dist)
+
+
 def lof_scores(points, k: int) -> np.ndarray:
     """Classical LOF scores for a point set.
 
@@ -103,6 +120,9 @@ def lof_scores(points, k: int) -> np.ndarray:
     distance.  Local reachability density is capped at LRD_CAP when all
     reachability distances vanish, and a point whose k nearest neighbors
     all sit at distance zero gets LOF exactly 1.
+
+    Distances are computed LOF_BLOCK rows at a time and only each point's
+    neighborhood is kept, so memory is O(n * LOF_BLOCK + neighbor pairs).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -113,24 +133,29 @@ def lof_scores(points, k: int) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise RefineError("points must be finite")
 
-    dist = np.empty((n, n))
+    kdist = np.empty(n)
+    rows, cols, dists = [], [], []
     for start in range(0, n, LOF_BLOCK):
-        diff = pts[start : start + LOF_BLOCK, None, :] - pts[None, :, :]
-        dist[start : start + LOF_BLOCK] = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+        dist = _distance_rows(pts, start, start + LOF_BLOCK)
+        stop = start + len(dist)
+        local = np.arange(len(dist))
+        dist[local, start + local] = np.inf
+        kdist[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(dist <= kdist[start:stop, None])  # ties included; self excluded via inf
+        rows.append(r + start)
+        cols.append(c)
+        dists.append(dist[r, c])
+        del dist  # free this block before the next one is built
+    rows, cols, dists = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+    counts = np.bincount(rows, minlength=n)
 
-    kdist = np.sort(dist, axis=1)[:, k - 1]
-    neighbor = dist <= kdist[:, None]  # ties included; diagonal excluded via inf
-    counts = neighbor.sum(axis=1)
-
-    reach = np.maximum(kdist[None, :], dist)
-    reach_sum = np.where(neighbor, reach, 0.0).sum(axis=1)
-    mean_reach = reach_sum / counts
+    reach = np.maximum(kdist[cols], dists)
+    mean_reach = np.bincount(rows, weights=reach, minlength=n) / counts
     with np.errstate(divide="ignore"):
         lrd = np.where(mean_reach > 0.0, 1.0 / np.where(mean_reach > 0, mean_reach, 1.0), LRD_CAP)
     lrd = np.minimum(lrd, LRD_CAP)
 
-    lof = (neighbor @ lrd) / counts / lrd
+    lof = np.bincount(rows, weights=lrd[cols], minlength=n) / counts / lrd
     return np.where(kdist == 0.0, 1.0, lof)
 
 
@@ -238,11 +263,10 @@ def validate_band(
         log.warning("band of %d statements <= lof_k=%d; keeping all", len(band), cfg.lof_k)
         return band, []
 
+    # band statements are never rdf:type (threshold_filter keeps every schema
+    # statement), so kg's class map is also the class map of kg plus the band
     context = _context_sample(kg.data_statements)
-    stats_kg = kg.copy()
-    for st in band:
-        stats_kg.add(st)
-    points = _minmax(triple_features(band + context, stats_kg, []))
+    points = _minmax(triple_features(band + context, kg, []))
     scores = lof_scores(points, cfg.lof_k)[: len(band)]
 
     kept: list[ScoredTriple] = []

@@ -9,7 +9,8 @@ import fixture_factory as ff
 from ontogen import pipeline
 from ontogen.cli import main as cli_main
 from ontogen.completion import TrainConfig
-from ontogen.model import KnowledgeGraph, Triple
+from ontogen.model import KnowledgeGraph, Term, Triple
+from ontogen.refinement import RefineConfig
 from ontogen.rdf_io import parse_ntriples, render_triple
 
 
@@ -243,6 +244,49 @@ class TestRunHoldout:
         assert report["holdout"]["evaluated"] > 0
         assert 0.0 <= report["holdout"]["mrr"] <= 1.0
         assert report["predicted_count"] == 0
+
+
+def _kinship_with_small_band():
+    """Kinship triples at 0.95 plus three borderline statements: a band no
+    larger than the default lof_k of 5."""
+    kg = KnowledgeGraph()
+    for t in ff.kinship_triples():
+        kg.add_triple(t, 0.95)
+    band = [
+        Triple(Term.iri(f"http://example.org/b{i}"), Term.iri("http://example.org/near"),
+               Term.iri(f"http://example.org/b{i + 1}"))
+        for i in range(3)
+    ]
+    for t in band:
+        kg.add_triple(t, 0.4)
+    return kg
+
+
+class TestRefinePhase:
+    SKIPPED = "band of 3 statements <= lof_k=5; LOF skipped"
+
+    def test_small_band_note(self):
+        _, report = pipeline.refine_phase(_kinship_with_small_band(), None, RefineConfig())
+        assert report["notes"] == [self.SKIPPED]
+        assert report["removed_by_lof"] == []
+
+    def test_small_band_note_reaches_the_run_report(self, tmp_path):
+        records = [
+            {"s": st.triple.subject.value, "p": st.triple.predicate.value,
+             "o": st.triple.object.value, "o_kind": "iri", "conf": st.confidence}
+            for st in _kinship_with_small_band().statements()
+        ]
+        (tmp_path / "triples.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        (tmp_path / "axioms.ttl").write_text(ff.reference_axioms_turtle(), encoding="utf-8")
+        (tmp_path / "domain.ttl").write_text(ff.domain_ontology_turtle(), encoding="utf-8")
+        (tmp_path / "pipeline.yaml").write_text(
+            yaml.safe_dump({"complete": {"dimension": 4, "epochs": 2}}), encoding="utf-8"
+        )
+        pipeline.run(pipeline.PipelineConfig.from_file(tmp_path / "pipeline.yaml"))
+        report = json.loads((tmp_path / "out" / "reports" / "refine.json").read_text())
+        assert self.SKIPPED in report["notes"]
 
 
 class TestCompletePhase:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ontogen.refinement import (
     LRD_CAP,
     RefineConfig,
     RefineError,
+    _distance_rows,
     implausible_links,
     lof_scores,
     prune_disconnected,
@@ -110,6 +112,50 @@ class TestLofScores:
         pts = rng.uniform(-1, 1, (LOF_BLOCK + 45, 5))
         pts[LOF_BLOCK - 3 : LOF_BLOCK + 3] = pts[0]
         np.testing.assert_allclose(lof_scores(pts, 5), brute_force_lof(pts.tolist(), 5), atol=1e-9)
+
+    def test_tie_groups_longer_than_k_across_block_edge(self):
+        # points on a 6^3 integer lattice: every lattice distance is shared
+        # by many pairs, so neighborhoods run past k, also for the rows on
+        # either side of the first block edge
+        rng = np.random.default_rng(11)
+        pts = rng.integers(0, 6, (LOF_BLOCK + 44, 3)).astype(float)
+        k = 5
+        dense = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
+        np.fill_diagonal(dense, np.inf)
+        kdist = np.sort(dense, axis=1)[:, k - 1]
+        sizes = (dense <= kdist[:, None]).sum(axis=1)
+        edge = slice(LOF_BLOCK - 4, LOF_BLOCK + 4)
+        assert (sizes[edge] > k).all() and (kdist[edge] > 0).all()
+        np.testing.assert_allclose(lof_scores(pts, k), brute_force_lof(pts.tolist(), k), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [LOF_BLOCK - 1, LOF_BLOCK, 2 * LOF_BLOCK])
+    def test_oracle_at_block_sizes(self, n):
+        # fewer points than one block, exactly one block, an exact multiple
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1, 1, (n, 2))
+        np.testing.assert_allclose(lof_scores(pts, 4), brute_force_lof(pts.tolist(), 4), atol=1e-9)
+
+    def test_blocked_distances_equal_dense_reference(self):
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.uniform(0, 1, (2 * LOF_BLOCK + 37, 5)), np.zeros((3, 5))])
+        dense = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
+        blocked = np.vstack(
+            [_distance_rows(pts, s, s + LOF_BLOCK) for s in range(0, len(pts), LOF_BLOCK)]
+        )
+        assert np.array_equal(blocked, dense)
+
+    def test_memory_below_one_dense_matrix(self):
+        # tie-heavy 5-d points, as the band features are; a single n x n
+        # float64 matrix would take n * n * 8 bytes
+        n = 4096
+        pts = np.round(np.random.default_rng(2).uniform(0, 1, (n, 5)), 1)
+        tracemalloc.start()
+        try:
+            lof_scores(pts, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_uniform_hypercube_median_near_one(self):
         rng = np.random.default_rng(3)
