@@ -53,12 +53,17 @@ class CleanError(ValueError):
     """Undecodable or unreadable document."""
 
 
+def read_list(source) -> list[str]:
+    """The stripped lines of a UTF-8 text file (a path or a package
+    resource) that are neither blank nor `#` comments."""
+    lines = (line.strip() for line in source.read_text("utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 @lru_cache(maxsize=1)
 def _bundled_verbs() -> frozenset[str]:
-    text = resources.files("ontogen").joinpath("data/common_verbs.txt").read_text("utf-8")
-    return frozenset(
-        w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#")
-    )
+    verbs = read_list(resources.files("ontogen").joinpath("data/common_verbs.txt"))
+    return frozenset(w.lower() for w in verbs)
 
 
 @dataclass(frozen=True)
@@ -379,9 +384,4 @@ def clean_directory(
 
 
 def load_denylist(path: Path) -> frozenset[str]:
-    words = set()
-    for line in path.read_text("utf-8").splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
+    return frozenset(w.lower() for w in read_list(path))

@@ -20,14 +20,6 @@ EXIT_VALIDATION = 1
 EXIT_PHASE = 2
 
 
-def _read_lines(path: Path) -> list[str]:
-    return [
-        line.strip()
-        for line in path.read_text("utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-
-
 def _save(kg, out: str, report: dict, report_path: str | None) -> None:
     pipeline.write_graph(Path(out), kg)
     if report_path:
@@ -78,7 +70,7 @@ def _cmd_refine(args) -> int:
 def _cmd_correct(args) -> int:
     kg = pipeline.read_graph(Path(args.in_file))
     reference = pipeline.load_ontology(Path(args.axioms))
-    functional = frozenset(_read_lines(Path(args.functional))) if args.functional else frozenset()
+    functional = frozenset(cleaning.read_list(Path(args.functional)) if args.functional else ())
     cfg = correction.CorrectionConfig(functional=functional, sim_threshold=args.sim_threshold)
     facts = Path(args.reference) if args.reference else None
     kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
@@ -102,7 +94,7 @@ def _cmd_complete(args) -> int:
         seed=args.seed,
     )
     relations = (
-        [Term.iri(r) for r in _read_lines(Path(args.predict_relations))]
+        [Term.iri(r) for r in cleaning.read_list(Path(args.predict_relations))]
         if args.predict_relations
         else []
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import string_similarity
+from .correction import terms_agree
 from .model import KnowledgeGraph, META_CLASSES, ScoredTriple, Term, Triple, is_schema_triple
 from .rdf_io import parse_term, render_term
 
@@ -100,17 +100,21 @@ def score(model: EmbeddingModel, h: Term, r: Term, t: Term) -> float:
     return float(_core(model, hi, ri, ti)[0][0])
 
 
-def _all_tail_scores(m: EmbeddingModel, h: int, r: int, conjugate: bool = False) -> np.ndarray:
-    """Scores of (h, r, e) for every entity e.  With the relation
-    conjugated they are the scores of (e, r, h), because
-    Re(conj(r) h conj(e)) equals Re(r e conj(h))."""
+def _all_tail_scores(
+    m: EmbeddingModel, h: int, r: int, conjugate: bool = False, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Scores of (h, r, e) for every entity e; an entity outside the
+    boolean mask `allowed` scores -inf.  With the relation conjugated they
+    are the scores of (e, r, h), because Re(conj(r) h conj(e)) equals
+    Re(r e conj(h))."""
     h_re, h_im = m.entity_re[h], m.entity_im[h]
     r_re, r_im = m.relation_re[r], m.relation_im[r]
     if conjugate:
         r_im = -r_im
     c_re = r_re * h_re - r_im * h_im
     c_im = r_re * h_im + r_im * h_re
-    return m.entity_re @ c_re + m.entity_im @ c_im
+    scores = m.entity_re @ c_re + m.entity_im @ c_im
+    return scores if allowed is None else np.where(allowed, scores, -np.inf)
 
 
 # ----------------------------------------------------------------------
@@ -422,11 +426,10 @@ def evaluate(
         r = model.relation_row(t.predicate)
         o = model.entity_row(t.object)
         for anchor, answer, conjugate in ((h, o, False), (o, h, True)):
-            scores = _all_tail_scores(model, anchor, r, conjugate)
-            mask = np.zeros(len(scores), dtype=bool)
-            mask[list(known.get((conjugate, anchor, r), ()))] = True
-            mask[answer] = False
-            scores = np.where(mask, -np.inf, scores)
+            allowed = np.ones(len(model.entity_index), dtype=bool)
+            allowed[list(known.get((conjugate, anchor, r), ()))] = False
+            allowed[answer] = True
+            scores = _all_tail_scores(model, anchor, r, conjugate, allowed)
             ranks.append(1 + int((np.delete(scores, answer) >= scores[answer]).sum()))
 
     arr = np.array(ranks, dtype=float)
@@ -442,6 +445,11 @@ def evaluate(
 # ----------------------------------------------------------------------
 # prediction
 
+def _observed(kg: KnowledgeGraph, rel: Term) -> list[Triple]:
+    """The relation's data statements (its assertions), in canonical order."""
+    return [st.triple for st in kg.with_predicate(rel.value) if not is_schema_triple(st.triple)]
+
+
 def predict_missing(
     model: EmbeddingModel,
     kg: KnowledgeGraph,
@@ -455,11 +463,12 @@ def predict_missing(
     the relation's observed subjects (all data-statement subjects when the
     observed subjects carry no types).  Candidate tails are type-constrained
     the same way: an entity must share a class with the relation's observed
-    objects, unless those are untyped.  Confidence is sigmoid(score); only
-    the top-k proposals strictly above the threshold are emitted, flagged
-    as predicted.  Equal scores rank the lower entity row first: rows are
-    numbered in `Term.sort_key` order (a trained model's vocabulary, kept
-    by `load_model`), so ties fall to the smaller sort key.
+    objects, unless those are untyped; the subject itself is never a tail.
+    Confidence is sigmoid(score); only the top-k proposals strictly above
+    the threshold are emitted, with source id "completion".  Equal scores
+    rank the lower entity row first: rows are numbered in `Term.sort_key`
+    order (a trained model's vocabulary, kept by `load_model`), so ties
+    fall to the smaller sort key.
     """
     class_map = kg.class_map()
     all_subjects = {st.triple.subject for st in kg.data_statements}
@@ -471,68 +480,63 @@ def predict_missing(
     out: list[ScoredTriple] = []
     for rel in sorted(candidate_relations, key=Term.sort_key):
         r = model.relation_row(rel)
-        observed = [
-            st.triple for st in kg.with_predicate(rel.value) if not is_schema_triple(st.triple)
-        ]
+        observed = _observed(kg, rel)
         subjects = {t.subject for t in observed}
         observed_types = types_of(subjects)
         range_types = types_of({t.object for t in observed})
-        barred = np.array(
-            [bool(range_types) and not class_map.get(e, set()) & range_types for e in entities],
+        typed = np.array(
+            [not range_types or bool(class_map.get(e, set()) & range_types) for e in entities],
             dtype=bool,
         )
-        if observed_types:
-            pool = {
-                e
-                for e in all_subjects
-                if class_map.get(e, set()) & observed_types and e in model.entity_index
-            }
-        else:
-            pool = {e for e in all_subjects if e in model.entity_index}
-        candidates = sorted(pool - subjects, key=Term.sort_key)
-        for subject in candidates:
+        pool = {
+            e
+            for e in all_subjects - subjects
+            if e in model.entity_index
+            and (not observed_types or class_map.get(e, set()) & observed_types)
+        }
+        for subject in sorted(pool, key=Term.sort_key):
             s_row = model.entity_row(subject)
-            scores = _all_tail_scores(model, s_row, r)
-            scores[barred] = -np.inf
+            allowed = typed.copy()
+            allowed[s_row] = False
+            scores = _all_tail_scores(model, s_row, r, allowed=allowed)
             conf = _sigmoid(scores)
-            order = np.argsort(-scores, kind="stable")
-            emitted = 0
-            for i in order:
-                if emitted >= top_k:
-                    break
-                if i == s_row:
-                    continue
-                if barred[i] or conf[i] <= threshold:
+            for i in np.argsort(-scores, kind="stable")[: max(top_k, 0)]:
+                if not allowed[i] or conf[i] <= threshold:
                     break
                 out.append(
-                    ScoredTriple(
-                        Triple(subject, rel, entities[i]),
-                        float(conf[i]),
-                        source_id="completion",
-                        predicted=True,
-                    )
+                    ScoredTriple(Triple(subject, rel, entities[i]), float(conf[i]), "completion")
                 )
-                emitted += 1
     return out
 
 
-def agreement_check(
-    old_labels: list[str], new_labels: list[str], sim_threshold: float = 0.8
-) -> float:
-    """Fraction of paired labels agreeing exactly (after case folding) or by
-    normalized string similarity at the threshold."""
-    if len(old_labels) != len(new_labels):
-        raise CompletionError(
-            f"label lists differ in length: {len(old_labels)} vs {len(new_labels)}"
-        )
-    if not old_labels:
-        return 1.0
-    agree = 0
-    for a, b in zip(old_labels, new_labels):
-        fa, fb = a.casefold(), b.casefold()
-        if fa == fb or string_similarity(fa, fb) >= sim_threshold:
-            agree += 1
-    return agree / len(old_labels)
+def agreement_rates(
+    model: EmbeddingModel, kg: KnowledgeGraph, relations: list[Term], sim_threshold: float = 0.8
+) -> dict[str, float | None]:
+    """Per relation, the share of subjects whose existing object agrees
+    (by `correction.terms_agree`) with the model's best tail among the
+    relation's observed objects, ties to the lower row.  A subject with
+    several objects compares its first in canonical order.  None when no
+    model-covered subject or object is observed."""
+    rates: dict[str, float | None] = {}
+    entities = model.entities
+    for rel in relations:
+        existing: dict[Term, Term] = {}
+        allowed = np.zeros(len(entities), dtype=bool)
+        for t in _observed(kg, rel):
+            existing.setdefault(t.subject, t.object)
+            if t.object in model.entity_index:
+                allowed[model.entity_index[t.object]] = True
+        subjects = sorted((s for s in existing if s in model.entity_index), key=Term.sort_key)
+        if not (subjects and allowed.any()):
+            rates[rel.value] = None
+            continue
+        r = model.relation_row(rel)
+        agree = 0
+        for s in subjects:
+            best = np.argmax(_all_tail_scores(model, model.entity_row(s), r, allowed=allowed))
+            agree += terms_agree(existing[s], entities[best], sim_threshold)
+        rates[rel.value] = agree / len(subjects)
+    return rates
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,9 @@ def _comparable(term: Term) -> str:
     return local_name(term.value) if term.is_iri else term.value
 
 
-def _terms_agree(a: Term, b: Term, sim_threshold: float) -> bool:
+def terms_agree(a: Term, b: Term, sim_threshold: float) -> bool:
+    """Equal terms, or labels (IRI local names, literal values) equal after
+    case folding or at least `sim_threshold` similar."""
     if a == b:
         return True
     va, vb = _comparable(a).casefold(), _comparable(b).casefold()
@@ -194,7 +196,7 @@ def reference_fact_check(
         facts = by_sp.get((t.subject, t.predicate.value))
         if not facts:
             continue
-        if any(_terms_agree(t.object, f.object, cfg.sim_threshold) for f in facts):
+        if any(terms_agree(t.object, f.object, cfg.sim_threshold) for f in facts):
             continue
         fact = min(facts, key=Triple.sort_key)
         violations.append(

@@ -137,7 +137,6 @@ class ScoredTriple:
     triple: Triple
     confidence: float
     source_id: str | None = None
-    predicted: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:

@@ -17,9 +17,8 @@ from pathlib import Path
 import yaml
 
 from . import cleaning, completion, consistency, correction, refinement
-from .model import KnowledgeGraph, OntologySchema, Term, is_schema_triple, ontology_from_triples
+from .model import KnowledgeGraph, OntologySchema, Term, ontology_from_triples
 from .rdf_io import (
-    local_name,
     parse_ntriples,
     parse_scored_jsonl,
     parse_turtle,
@@ -71,7 +70,6 @@ class PipelineConfig:
     predict_threshold: float = 0.5
     predict_top_k: int = 1
     holdout_fraction: float = 0.0
-    agreement_sim_threshold: float = 0.8
 
     # ------------------------------------------------------------------
 
@@ -89,7 +87,6 @@ class PipelineConfig:
             return p if p.is_absolute() else base / p
 
         clean_opts = dict(raw.get("clean") or {})
-        correction_opts = dict(raw.get("correct") or {})
         train_opts = dict(raw.get("complete") or {})
         return PipelineConfig(
             scored_triples=pathify(raw.get("scored_triples")) or base / "triples.jsonl",
@@ -102,14 +99,13 @@ class PipelineConfig:
             clean_format=clean_opts.pop("format", None),
             clean_options=clean_opts,
             refine_options=dict(raw.get("refine") or {}),
-            correction_options=correction_opts,
+            correction_options=dict(raw.get("correct") or {}),
             train_extra=pathify(train_opts.pop("train_extra", None)),
             predict_relations=[str(r) for r in train_opts.pop("predict_relations", [])],
             predict_threshold=float(train_opts.pop("threshold", 0.5)),
             predict_top_k=int(train_opts.pop("top_k", 1)),
             holdout_fraction=float(train_opts.pop("holdout", 0.0)),
             train_options=train_opts,
-            agreement_sim_threshold=float(correction_opts.get("sim_threshold", 0.8)),
         )
 
     def make_clean_config(self) -> cleaning.CleanConfig:
@@ -153,7 +149,6 @@ class PipelineConfig:
             "predict_threshold": self.predict_threshold,
             "predict_top_k": self.predict_top_k,
             "holdout_fraction": self.holdout_fraction,
-            "agreement_sim_threshold": self.agreement_sim_threshold,
         }
 
     def config_hash(self) -> str:
@@ -335,8 +330,11 @@ def complete_phase(
     model_out: Path | None = None,
 ) -> tuple[KnowledgeGraph, dict]:
     """Train on the graph (plus `train_extra`) and add the predicted
-    statements for `relations`.  With `holdout` > 0 that fraction of the
-    pool is held out of training and ranked (filtered MRR and Hits@k).
+    statements for `relations`.  Before they are added, `agreement`
+    compares each existing assertion with the model's best observed
+    object, labels matching at `sim_threshold`.  With `holdout` > 0 that
+    fraction of the pool is held out of training and ranked (filtered MRR
+    and Hits@k).
     Training is skipped when the pool is empty, or when there is nothing
     to predict, score or save to `model_out`."""
     report: dict = {"predictions": [], "notes": []}
@@ -365,6 +363,7 @@ def complete_phase(
                 "evaluated": metrics.evaluated,
             }
         predictions = completion.predict_missing(model, kg, relations, threshold, top_k)
+        report["agreement"] = completion.agreement_rates(model, kg, relations, sim_threshold)
         for st in predictions:
             kg.add(st)
         report["trained_on"] = len(train_split)
@@ -376,7 +375,6 @@ def complete_phase(
             {"triple": render_triple(st.triple), "confidence": round(st.confidence, 9)}
             for st in predictions
         ]
-        report["agreement"] = _agreement_rates(model, kg, relations, sim_threshold)
         if model_out is not None:
             completion.save_model(model, model_out)
     report["predicted_count"] = len(predictions)
@@ -480,7 +478,7 @@ def run(config: PipelineConfig) -> PipelineResult:
             config.predict_top_k,
             config.holdout_fraction,
             config.train_extra,
-            config.agreement_sim_threshold,
+            config.make_correction_config().sim_threshold,
         )
         save("complete", kg, report, predicted=report["predicted_count"])
 
@@ -499,49 +497,3 @@ def run(config: PipelineConfig) -> PipelineResult:
     timing["total"] = round(time.perf_counter() - started, 6)
     write_json(out_dir / "timing.json", timing)
     return PipelineResult(out_dir, manifest, out_dir / ARTIFACTS["map"])
-
-
-def _agreement_rates(
-    model: completion.EmbeddingModel,
-    kg: KnowledgeGraph,
-    relations: list[Term],
-    sim_threshold: float,
-) -> dict[str, float | None]:
-    """Compare existing assertions with the model's preferred value among
-    the relation's observed object vocabulary; existing statements are
-    never overwritten."""
-    rates: dict[str, float | None] = {}
-    for rel in relations:
-        existing: dict[Term, Term] = {}
-        observed_objects: set[Term] = set()
-        for st in kg.with_predicate(rel.value):
-            if not (st.predicted or is_schema_triple(st.triple)):
-                existing.setdefault(st.triple.subject, st.triple.object)
-                observed_objects.add(st.triple.object)
-        if not existing:
-            rates[rel.value] = None
-            continue
-        candidate_rows = sorted(
-            model.entity_index[o] for o in observed_objects if o in model.entity_index
-        )
-        old_labels: list[str] = []
-        new_labels: list[str] = []
-        r_row = model.relation_row(rel)
-        entities = model.entities
-        for subject in sorted(existing, key=Term.sort_key):
-            if subject not in model.entity_index or not candidate_rows:
-                continue
-            scores = completion._all_tail_scores(model, model.entity_row(subject), r_row)
-            top = min(candidate_rows, key=lambda i: (-scores[i], entities[i].sort_key()))
-            value = existing[subject]
-            old_labels.append(local_name(value.value) if value.is_iri else value.value)
-            proposal = entities[top]
-            new_labels.append(
-                local_name(proposal.value) if proposal.is_iri else proposal.value
-            )
-        rates[rel.value] = (
-            completion.agreement_check(old_labels, new_labels, sim_threshold)
-            if old_labels
-            else None
-        )
-    return rates

@@ -27,9 +27,9 @@ LRD_CAP = 1e12
 #: largest kept-statement sample mixed into the band's LOF context
 CONTEXT_POOL = 512
 
-#: points whose distance rows are computed at once; LOF holds one
-#: LOF_BLOCK x n distance block plus the neighbor lists, never an n x n matrix
-LOF_BLOCK = 256
+#: bytes of one block of distance rows; LOF holds one such block plus the
+#: neighbor lists, never an n x n matrix
+LOF_BLOCK_BYTES = 5 << 20
 
 
 class RefineError(ValueError):
@@ -113,6 +113,12 @@ def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def _block_rows(n: int) -> int:
+    """Distance rows per LOF block for n points: as many as fit in
+    LOF_BLOCK_BYTES, at least one."""
+    return max(1, LOF_BLOCK_BYTES // (8 * n))
+
+
 def lof_scores(points, k: int) -> np.ndarray:
     """Classical LOF scores for a point set.
 
@@ -121,8 +127,9 @@ def lof_scores(points, k: int) -> np.ndarray:
     reachability distances vanish, and a point whose k nearest neighbors
     all sit at distance zero gets LOF exactly 1.
 
-    Distances are computed LOF_BLOCK rows at a time and only each point's
-    neighborhood is kept, so memory is O(n * LOF_BLOCK + neighbor pairs).
+    Distances are computed `_block_rows(n)` rows at a time and only each
+    point's neighborhood is kept, so memory is O(LOF_BLOCK_BYTES + n +
+    neighbor pairs).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -135,8 +142,9 @@ def lof_scores(points, k: int) -> np.ndarray:
 
     kdist = np.empty(n)
     rows, cols, dists = [], [], []
-    for start in range(0, n, LOF_BLOCK):
-        dist = _distance_rows(pts, start, start + LOF_BLOCK)
+    rows_per_block = _block_rows(n)
+    for start in range(0, n, rows_per_block):
+        dist = _distance_rows(pts, start, start + rows_per_block)
         stop = start + len(dist)
         local = np.arange(len(dist))
         dist[local, start + local] = np.inf

@@ -11,11 +11,27 @@ from ontogen.cleaning import (
     clean,
     clean_directory,
     is_sentence,
+    load_denylist,
     parse_html,
+    read_list,
     strip_ad_containers,
 )
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+
+
+class TestReadList:
+    def test_strips_lines_and_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_text("# header\n  # indented note\n\n  Alpha \n\tbeta\ngamma # kept\n", "utf-8")
+        assert read_list(path) == ["Alpha", "beta", "gamma # kept"]
+        path.write_text("delta\n", "utf-8")  # read afresh on every call
+        assert read_list(path) == ["delta"]
+
+    def test_denylist_is_lowercased(self, tmp_path):
+        path = tmp_path / "deny.txt"
+        path.write_text("  # ads\nSponsored\n  Promo  \n", "utf-8")
+        assert load_denylist(path) == frozenset({"sponsored", "promo"})
 
 
 class TestIsSentence:

@@ -11,7 +11,8 @@ from ontogen.completion import (
     CompletionError,
     EmbeddingModel,
     TrainConfig,
-    agreement_check,
+    _sigmoid,
+    agreement_rates,
     evaluate,
     load_model,
     load_tsv,
@@ -22,6 +23,7 @@ from ontogen.completion import (
     train,
     training_triples,
 )
+from ontogen.correction import terms_agree
 from ontogen.model import RDF_TYPE, KnowledgeGraph, Term, Triple
 
 
@@ -483,7 +485,7 @@ class TestPredictMissing:
         assert set(by_subject) == set(removed)
         hit = sum(1 for a, b in removed.items() if by_subject.get(a) == b)
         assert hit / len(removed) >= 0.6
-        assert all(p.predicted and 0 < p.confidence <= 1 for p in preds)
+        assert all(p.source_id == "completion" and 0 < p.confidence <= 1 for p in preds)
 
     def test_fortune_every_unassigned_company_gets_one(self, fortune):
         kg = ff.fortune_kg(fortune)
@@ -543,23 +545,131 @@ class TestPredictMissing:
         ]
 
 
+class TestMaskedTailOracle:
+    """`predict_missing` and `agreement_rates` against a plain loop over
+    `score()` on a one-dimensional real model, where score(h, r, t) = h * t
+    is exact and ties are exact."""
+
+    NAMES = ["c0", "c1", "c2", "c3", "f0", "f1", "f2", "f3", "x"]
+    #: c0 also carries the Focus class, so it is an allowed tail for others
+    #: and the best-scoring one for itself; f0 and f1 tie; f2 scores 0, so
+    #: its confidence is exactly 0.5; x, of class Other, outscores every tail
+    VALUES = [4.0, 1.0, 1.0, -1.0, 2.0, 2.0, 0.0, -1.0, 8.0]
+
+    def _setup(self):
+        ents = [iri(n) for n in self.NAMES]
+        rel = iri("focus")
+        m = EmbeddingModel(
+            np.array([[v] for v in self.VALUES]), np.zeros((9, 1)),
+            np.ones((1, 1)), np.zeros((1, 1)),
+            {e: i for i, e in enumerate(ents)}, {rel: 0}, 1,
+        )
+        c0, c1, c2, c3, f0, f1, f2, f3, x = ents
+        kg = KnowledgeGraph()
+        for e, cls in [(c0, "Company"), (c0, "Focus"), (c1, "Company"), (c2, "Company"),
+                       (c3, "Company"), (f0, "Focus"), (f1, "Focus"), (f2, "Focus"),
+                       (f3, "Focus"), (x, "Other")]:
+            kg.add_triple(Triple(e, Term.iri(RDF_TYPE), iri(cls)), 0.9)
+        kg.add_triple(Triple(c0, iri("rival"), c1), 0.9)
+        kg.add_triple(Triple(c1, iri("rival"), c2), 0.9)
+        kg.add_triple(Triple(c2, rel, f1), 0.9)
+        kg.add_triple(Triple(c3, rel, f2), 0.9)
+        return m, kg, ents, rel
+
+    def _ranked(self, m, subject, rel, tails):
+        # by descending score; the sort is stable, so ties keep the lower row first
+        rows = sorted(m.entity_index[e] for e in tails if e != subject)
+        return sorted(rows, key=lambda i: -score(m, subject, rel, m.entities[i]))
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, -1.0])
+    @pytest.mark.parametrize("top_k", [1, 2, 10])
+    def test_predict_missing_equals_brute_force(self, threshold, top_k):
+        m, kg, ents, rel = self._setup()
+        c0, c1, _, _, f0, f1, f2, f3, x = ents
+        expected = []
+        for subject in (c0, c1):  # Company subjects with no focus yet
+            for i in self._ranked(m, subject, rel, [c0, f0, f1, f2, f3])[:top_k]:
+                s = score(m, subject, rel, m.entities[i])
+                conf = 1 / (1 + np.exp(-s))
+                if conf <= threshold:
+                    break
+                expected.append((subject, m.entities[i], conf))
+        preds = predict_missing(m, kg, [rel], threshold, top_k)
+        got = [(p.triple.subject, p.triple.object) for p in preds]
+        assert got == [(s, o) for s, o, _ in expected]
+        assert [p.confidence for p in preds] == pytest.approx([c for _, _, c in expected])
+        assert all(p.triple.subject != p.triple.object and p.triple.object != x for p in preds)
+
+    def test_ties_threshold_and_bars(self):
+        m, kg, ents, rel = self._setup()
+        c0, c1, _, _, f0, f1, f2, f3, _ = ents
+        pairs = lambda preds: [(p.triple.subject, p.triple.object) for p in preds]
+        # f0 and f1 tie for c0: the lower row wins
+        assert pairs(predict_missing(m, kg, [rel], 0.5, 1)) == [(c0, f0), (c1, c0)]
+        # f2's confidence equals the threshold exactly and is not emitted
+        assert float(_sigmoid(np.array([score(m, c0, rel, f2)]))[0]) == 0.5
+        assert pairs(predict_missing(m, kg, [rel], 0.5, 10)) == [
+            (c0, f0), (c0, f1), (c1, c0), (c1, f0), (c1, f1)
+        ]
+        # below every confidence and past the allowed set: still no self or x
+        assert pairs(predict_missing(m, kg, [rel], -1.0, 50)) == [
+            (c0, f0), (c0, f1), (c0, f2), (c0, f3), (c1, c0), (c1, f0), (c1, f1), (c1, f2),
+            (c1, f3),
+        ]
+
+    def test_agreement_rates_equal_brute_force(self):
+        m, kg, ents, rel = self._setup()
+        _, _, c2, c3, f0, f1, f2, _, _ = ents
+        # an assertion on a subject the model does not cover still makes f0
+        # an observed object; f0 ties with c2's own f1 and, as the lower
+        # row, wins: c2 disagrees and c3 agrees
+        kg.add_triple(Triple(iri("z"), rel, f0), 0.9)
+        agree = 0
+        for subject, existing in ((c2, f1), (c3, f2)):
+            best = self._ranked(m, subject, rel, [f0, f1, f2])[0]
+            agree += terms_agree(existing, m.entities[best], 0.8)
+        assert agreement_rates(m, kg, [rel], 0.8) == {rel.value: agree / 2} == {rel.value: 0.5}
+
+    def test_agreement_rates_none_without_comparable_assertions(self):
+        # no assertions at all, and assertions whose objects the model lacks
+        m, kg, ents, rel = self._setup()
+        unused, name = iri("unused"), iri("name")
+        m.relation_index = {rel: 0, unused: 1, name: 2}
+        m.relation_re, m.relation_im = np.ones((3, 1)), np.zeros((3, 1))
+        kg.add_triple(Triple(ents[0], name, Term.literal("c zero")), 0.9)
+        assert agreement_rates(m, kg, [unused, name], 0.8) == {unused.value: None, name.value: None}
+
+
 class TestAgreementCheck:
     def test_identical(self):
-        assert agreement_check(["a", "b"], ["a", "b"], 0.8) == 1.0
+        assert terms_agree(iri("a"), iri("a"), 0.8)
+        assert terms_agree(Term.literal("b"), iri("b"), 0.8)
 
     def test_case_fold(self):
-        assert agreement_check(["Technology"], ["technology"], 0.99) == 1.0
+        assert terms_agree(iri("Technology"), iri("technology"), 0.99)
 
-    def test_length_mismatch(self):
-        with pytest.raises(CompletionError):
-            agreement_check(["a"], [], 0.8)
+    def test_threshold_099(self):
+        # one edit in seven characters: similar at 0.8, not at 0.99
+        assert terms_agree(iri("label01"), iri("label02"), 0.8)
+        assert not terms_agree(iri("label01"), iri("label02"), 0.99)
 
     def test_seventy_pairs_with_seven_disagreements(self):
-        old = [f"label{i:02d}" for i in range(70)]
-        new = list(old)
-        for i in range(0, 70, 10):
-            new[i] = "somethingelse"
-        assert agreement_check(old, new, 0.8) == pytest.approx(0.9)
+        # one-hot model: subject i prefers object target(i) among the 70
+        # observed objects; every tenth target is two edits from label i
+        n = 70
+        target = [(i + 11) % n if i % 10 == 0 else i for i in range(n)]
+        subjects = [iri(f"s{i:02d}") for i in range(n)]
+        objects = [iri(f"label{i:02d}") for i in range(n)]
+        rel = iri("label")
+        e_re = np.vstack([np.eye(n)[target], np.eye(n)])
+        m = EmbeddingModel(
+            e_re, np.zeros_like(e_re), np.ones((1, n)), np.zeros((1, n)),
+            {e: i for i, e in enumerate(subjects + objects)}, {rel: 0}, n,
+        )
+        kg = KnowledgeGraph()
+        for s, o in zip(subjects, objects):
+            kg.add_triple(Triple(s, rel, o), 0.9)
+        assert agreement_rates(m, kg, [rel], 0.8) == {rel.value: pytest.approx(0.9)}
 
 
 class TestPersistence:

@@ -380,6 +380,23 @@ class TestCli:
         assert 0.0 <= metrics["holdout"]["mrr"] <= 1.0
         assert metrics["holdout"]["evaluated"] > 0
 
+    def test_list_files_skip_indented_comments(self, tmp_path):
+        # an indented "# note" is a comment, not a relation IRI
+        from ontogen.rdf_io import serialize_ntriples
+
+        kg_path = tmp_path / "kg.nt"
+        kg_path.write_bytes(serialize_ntriples(ff.kinship_triples(n_families=1)))
+        married = ff.kin_relation("marriedTo").value
+        rels = tmp_path / "rels.txt"
+        rels.write_text(f"  # relations to complete\n\n  {married}  \n", encoding="utf-8")
+        rc = cli_main(
+            ["complete", "--in", str(kg_path), "--dim", "4", "--epochs", "3",
+             "--predict-relations", str(rels),
+             "--out", str(tmp_path / "out.nt"), "--metrics", str(tmp_path / "m.json")]
+        )
+        assert rc == 0
+        assert list(json.loads((tmp_path / "m.json").read_text())["agreement"]) == [married]
+
     def test_run_and_report_subcommands(self, pipeline_config_path, pipeline_run, capsys):
         # reuse the session run's output directory
         config, _ = pipeline_run

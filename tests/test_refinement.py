@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontogen import refinement
 from ontogen.model import KnowledgeGraph, RDF_TYPE, ScoredTriple, Term, Triple
 from ontogen.refinement import (
-    LOF_BLOCK,
     LRD_CAP,
     RefineConfig,
     RefineError,
+    _block_rows,
     _distance_rows,
     implausible_links,
     lof_scores,
@@ -106,42 +107,73 @@ class TestLofScores:
         pts = rng.uniform(-1, 1, (n, dim))
         np.testing.assert_allclose(lof_scores(pts, k), brute_force_lof(pts.tolist(), k), atol=1e-9)
 
-    def test_oracle_across_distance_blocks(self):
+    @pytest.fixture
+    def block_bytes(self, monkeypatch):
+        """Set the distance-block byte budget; test-sized point sets then
+        span several blocks of `_block_rows(n)` rows."""
+        return lambda budget: monkeypatch.setattr(refinement, "LOF_BLOCK_BYTES", budget)
+
+    def test_block_rows_fill_the_byte_budget(self):
+        # the scale1k band's 2,512 points still get blocks of 256 rows or more
+        assert _block_rows(2512) >= 256
+        assert _block_rows(10_000) * 8 * 10_000 <= refinement.LOF_BLOCK_BYTES
+        assert _block_rows(10**9) == 1
+
+    def test_oracle_across_distance_blocks(self, block_bytes):
         # more points than one distance block, with duplicates straddling a block edge
+        n = 301
+        block_bytes(256 * 8 * n)
+        rows = _block_rows(n)
+        assert rows == 256
         rng = np.random.default_rng(7)
-        pts = rng.uniform(-1, 1, (LOF_BLOCK + 45, 5))
-        pts[LOF_BLOCK - 3 : LOF_BLOCK + 3] = pts[0]
+        pts = rng.uniform(-1, 1, (n, 5))
+        pts[rows - 3 : rows + 3] = pts[0]
         np.testing.assert_allclose(lof_scores(pts, 5), brute_force_lof(pts.tolist(), 5), atol=1e-9)
 
-    def test_tie_groups_longer_than_k_across_block_edge(self):
+    def test_tie_groups_longer_than_k_across_block_edge(self, block_bytes):
         # points on a 6^3 integer lattice: every lattice distance is shared
         # by many pairs, so neighborhoods run past k, also for the rows on
         # either side of the first block edge
+        n = 300
+        block_bytes(256 * 8 * n)
+        rows = _block_rows(n)
         rng = np.random.default_rng(11)
-        pts = rng.integers(0, 6, (LOF_BLOCK + 44, 3)).astype(float)
+        pts = rng.integers(0, 6, (n, 3)).astype(float)
         k = 5
         dense = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
         np.fill_diagonal(dense, np.inf)
         kdist = np.sort(dense, axis=1)[:, k - 1]
         sizes = (dense <= kdist[:, None]).sum(axis=1)
-        edge = slice(LOF_BLOCK - 4, LOF_BLOCK + 4)
-        assert (sizes[edge] > k).all() and (kdist[edge] > 0).all()
+        edge = slice(rows - 4, rows + 4)
+        assert rows < n and (sizes[edge] > k).all() and (kdist[edge] > 0).all()
         np.testing.assert_allclose(lof_scores(pts, k), brute_force_lof(pts.tolist(), k), atol=1e-9)
 
-    @pytest.mark.parametrize("n", [LOF_BLOCK - 1, LOF_BLOCK, 2 * LOF_BLOCK])
-    def test_oracle_at_block_sizes(self, n):
+    @pytest.mark.parametrize("n", [255, 256, 512])
+    def test_oracle_at_block_sizes(self, block_bytes, n):
         # fewer points than one block, exactly one block, an exact multiple
+        block_bytes(256 * 8 * n)
+        assert _block_rows(n) == 256
         rng = np.random.default_rng(n)
         pts = rng.uniform(-1, 1, (n, 2))
         np.testing.assert_allclose(lof_scores(pts, 4), brute_force_lof(pts.tolist(), 4), atol=1e-9)
 
-    def test_blocked_distances_equal_dense_reference(self):
+    def test_scores_do_not_depend_on_the_block_size(self, block_bytes):
+        # tie-heavy points, as the band features are
+        pts = np.round(np.random.default_rng(13).uniform(0, 1, (500, 3)), 1)
+        block_bytes(256 * 8 * len(pts))
+        reference = lof_scores(pts, 5)
+        for rows in (1, 7, 49, 208, 500):
+            block_bytes(rows * 8 * len(pts))
+            assert np.array_equal(lof_scores(pts, 5), reference)
+
+    def test_blocked_distances_equal_dense_reference(self, block_bytes):
+        n = 2 * 256 + 40
+        block_bytes(256 * 8 * n)
+        rows = _block_rows(n)
         rng = np.random.default_rng(5)
-        pts = np.concatenate([rng.uniform(0, 1, (2 * LOF_BLOCK + 37, 5)), np.zeros((3, 5))])
+        pts = np.concatenate([rng.uniform(0, 1, (n - 3, 5)), np.zeros((3, 5))])
         dense = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
-        blocked = np.vstack(
-            [_distance_rows(pts, s, s + LOF_BLOCK) for s in range(0, len(pts), LOF_BLOCK)]
-        )
+        blocked = np.vstack([_distance_rows(pts, s, s + rows) for s in range(0, n, rows)])
         assert np.array_equal(blocked, dense)
 
     def test_memory_below_one_dense_matrix(self):
