@@ -249,12 +249,13 @@ def _strip_markup(text: str) -> str:
 # ----------------------------------------------------------------------
 # cleaning proper
 
+# Each cleaner returns its non-empty candidate segments and the number of
+# removed ad/boilerplate containers; `clean` applies the sentence filter.
+
 def _clean_html(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
     tree, removed = strip_ad_containers(parse_html(text), cfg.denylist)
     segments = [_normalize(node_text(p)) for p in _find_tags(tree, "p")]
-    segments = [s for s in segments if s]
-    kept = [s for s in segments if is_sentence(s, cfg)]
-    return kept, removed + (len(segments) - len(kept))
+    return [s for s in segments if s], removed
 
 
 def _strip_ns(tag: str) -> str:
@@ -291,8 +292,7 @@ def _clean_rss(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
             norm = _strip_markup(content)
             if norm:
                 segments.append(norm)
-    kept = [s for s in segments if is_sentence(s, cfg)]
-    return kept, len(segments) - len(kept)
+    return segments, 0
 
 
 def _iter_xml_elements_with_items(text: str):
@@ -322,15 +322,12 @@ def _clean_xml(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
         norm = _normalize(content)
         if norm:
             segments.append(norm)
-    kept = [s for s in segments if is_sentence(s, cfg)]
-    return kept, len(segments) - len(kept)
+    return segments, 0
 
 
 def _clean_plain(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
     segments = [_normalize(line) for line in text.splitlines()]
-    segments = [s for s in segments if s]
-    kept = [s for s in segments if is_sentence(s, cfg)]
-    return kept, len(segments) - len(kept)
+    return [s for s in segments if s], 0
 
 
 _CLEANERS = {
@@ -350,8 +347,9 @@ def clean(doc: RawDocument, cfg: CleanConfig | None = None) -> CleanDocument:
         text = doc.data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CleanError(f"cannot decode {doc.origin}: {exc}") from None
-    kept, dropped = _CLEANERS[doc.format_hint](text, cfg)
-    return CleanDocument(kept, doc.origin, dropped)
+    segments, dropped = _CLEANERS[doc.format_hint](text, cfg)
+    kept = [s for s in segments if is_sentence(s, cfg)]
+    return CleanDocument(kept, doc.origin, dropped + len(segments) - len(kept))
 
 
 def clean_directory(

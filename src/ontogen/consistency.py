@@ -160,6 +160,20 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
     return violations
 
 
+def _in_vocabulary(t: Triple, on: OntologySchema) -> bool:
+    """Whether a statement stays inside the target's vocabulary: type
+    assertions name a target class, subclass edges join two, domain/range
+    declarations and data statements are about a target property."""
+    p = t.predicate.value
+    if p == RDF_TYPE:
+        return t.object.is_iri and t.object.value in on.classes
+    if p == RDFS_SUBCLASS_OF:
+        return all(x.is_iri and x.value in on.classes for x in (t.subject, t.object))
+    if is_schema_triple(t):
+        return t.subject.value in on.properties
+    return p in on.properties
+
+
 def map_to_domain(
     kg: KnowledgeGraph, on: OntologySchema
 ) -> tuple[KnowledgeGraph, ConsistencyReport]:
@@ -180,37 +194,9 @@ def map_to_domain(
 
     report.domain_range_violations = domain_range_check(kg, on)
     removed.update(v.triple for v in report.domain_range_violations)
+    removed.update(t for t in kg.triples() if not _in_vocabulary(t, on))
 
-    out = KnowledgeGraph()
-    for st in kg.statements():
-        t = st.triple
-        if t in removed:
-            continue
-        if is_schema_triple(t):
-            p = t.predicate.value
-            if p == RDF_TYPE:
-                if not (t.object.is_iri and t.object.value in on.classes):
-                    removed.add(t)
-                    continue
-            elif p == RDFS_SUBCLASS_OF:
-                if not (
-                    t.subject.is_iri
-                    and t.subject.value in on.classes
-                    and t.object.is_iri
-                    and t.object.value in on.classes
-                ):
-                    removed.add(t)
-                    continue
-            else:
-                # domain/range declarations about unknown properties
-                if t.subject.value not in on.properties:
-                    removed.add(t)
-                    continue
-        elif t.predicate.value not in on.properties:
-            removed.add(t)
-            continue
-        out.add(st)
-
+    out = kg.without(removed)
     report.removed_triples = sorted(removed, key=Triple.sort_key)
     report.retained = len(out)
     return out, report

@@ -214,43 +214,45 @@ def reference_fact_check(
 def correct(
     kg: KnowledgeGraph, reference: OntologySchema, cfg: CorrectionConfig | None = None
 ) -> tuple[KnowledgeGraph, CorrectionReport]:
-    """Apply both checks and mutate a copy of the graph accordingly.
+    """Apply both checks to the graph and derive the corrected graph.
 
     Disjointness violations delete the lower-confidence member of the
     (type assertion, property triple) pair, deleting the property triple on
-    ties.  Reference conflicts replace the object with the reference value
-    at the configured confidence.
+    ties; a violation one of whose members is already deleted deletes
+    nothing.  Reference conflicts on the statements left replace the object
+    with the reference value at the configured confidence.
     """
     cfg = cfg or CorrectionConfig()
-    out = kg.copy()
     report = CorrectionReport()
-    report.checked = len(out.data_statements) + len(out.type_assertions())
+    report.checked = len(kg.data_statements) + len(kg.type_assertions())
 
+    deleted: set[Triple] = set()
     if reference.disjoint_pairs:
-        disjoint_violations = detect_disjointness_violations(out, reference)
+        disjoint_violations = detect_disjointness_violations(kg, reference)
         report.violations.extend(disjoint_violations)
-        deleted: set[Triple] = set()
         for v in disjoint_violations:
             ev = v.evidence
-            type_conf = out.confidence(ev.type_assertion)
-            prop_conf = out.confidence(ev.property_triple)
-            victim = ev.type_assertion if type_conf < prop_conf else ev.property_triple
-            if out.remove(victim):
-                deleted.add(victim)
+            if ev.type_assertion in deleted or ev.property_triple in deleted:
+                continue
+            type_st = kg.statement_for(ev.type_assertion)
+            prop_st = kg.statement_for(ev.property_triple)
+            deleted.add(
+                ev.type_assertion if type_st.confidence < prop_st.confidence else ev.property_triple
+            )
         report.deleted = sorted(deleted, key=Triple.sort_key)
 
     if reference.facts and cfg.functional:
-        conflicts = reference_fact_check(out, reference, cfg)
+        conflicts = [
+            v for v in reference_fact_check(kg, reference, cfg) if v.triple not in deleted
+        ]
         report.violations.extend(conflicts)
         for v in conflicts:
             ev = v.evidence
-            old = out.statement_for(ev.kg_triple)
-            if old is None:
-                continue
-            out.remove(ev.kg_triple)
             fixed = Triple(ev.kg_triple.subject, ev.kg_triple.predicate, ev.proposed)
-            out.add(ScoredTriple(fixed, cfg.reference_confidence, old.source_id))
             report.replaced.append((ev.kg_triple, fixed))
         report.replaced.sort(key=lambda pair: pair[0].sort_key())
 
+    out = kg.without(deleted | {old for old, _ in report.replaced})
+    for old, new in report.replaced:
+        out.add(ScoredTriple(new, cfg.reference_confidence, kg.statement_for(old).source_id))
     return out, report

@@ -2,15 +2,17 @@
 
 A KnowledgeGraph keeps every statement in one confidence-tracking store and
 exposes schema statements (type assertions, subclass and domain/range
-declarations) separately from scored data statements.  Graph values are
-treated as immutable once a build phase hands them off; mutation happens
-only inside single-owner build steps.
+declarations) separately from scored data statements.  A phase never edits
+the graph it is given: it derives its output with `without` and adds only
+to the derived graph.
 
-The ordered and grouped views read one index, built on the first read:
-the statements in canonical order, and the same statements grouped by
-predicate IRI and by subject, each group in canonical order.  Any write
-to the store drops it: a new triple, a higher-confidence re-add, or a
-successful `remove`.  `copy()` shares the index with the copy.
+The ordered and grouped views read one index: the statements in canonical
+order, and the same statements grouped by predicate IRI and by subject,
+each group in canonical order and built on its first read.  `add` drops
+the index and the next read sorts the store again.  `without(triples)`
+derives a new graph holding every other statement; its index is this
+graph's canonical list, filtered, so a derived graph is never sorted
+again.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -151,15 +154,25 @@ def is_schema_triple(t: Triple) -> bool:
 class _Index:
     """The statements of a store in canonical order, and the same statements
     grouped by predicate IRI and by subject, each group in canonical order.
-    Never changed after it is built, so graphs may share it."""
+    Each grouping is built on its first read; nothing changes after that."""
 
-    def __init__(self, store: dict[Triple, ScoredTriple]) -> None:
-        self.statements = sorted(store.values(), key=lambda st: st.triple.sort_key())
-        self.by_predicate: dict[str, list[ScoredTriple]] = {}
-        self.by_subject: dict[Term, list[ScoredTriple]] = {}
+    def __init__(self, statements: list[ScoredTriple]) -> None:
+        """`statements` must already be in canonical order."""
+        self.statements = statements
+
+    @cached_property
+    def by_predicate(self) -> dict[str, list[ScoredTriple]]:
+        out: dict[str, list[ScoredTriple]] = {}
         for st in self.statements:
-            self.by_predicate.setdefault(st.triple.predicate.value, []).append(st)
-            self.by_subject.setdefault(st.triple.subject, []).append(st)
+            out.setdefault(st.triple.predicate.value, []).append(st)
+        return out
+
+    @cached_property
+    def by_subject(self) -> dict[Term, list[ScoredTriple]]:
+        out: dict[Term, list[ScoredTriple]] = {}
+        for st in self.statements:
+            out.setdefault(st.triple.subject, []).append(st)
+        return out
 
 
 class KnowledgeGraph:
@@ -196,15 +209,21 @@ class KnowledgeGraph:
     def add_triple(self, t: Triple, confidence: float = 1.0, source_id: str | None = None) -> None:
         self.add(ScoredTriple(t, confidence, source_id))
 
-    def remove(self, t: Triple) -> bool:
-        if self._store.pop(t, None) is None:
-            return False
-        self._idx = None
-        return True
+    def without(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
+        """A new graph holding every statement not in `triples`.
+
+        Its store is a copy of this one's and its index this graph's
+        canonical list, filtered by statement identity, so the statements
+        it keeps are neither hashed nor sorted again."""
+        kg = KnowledgeGraph()
+        kg._store = dict(self._store)
+        gone = {id(kg._store.pop(t)) for t in set(triples) if t in kg._store}
+        kg._idx = _Index([st for st in self._index().statements if id(st) not in gone])
+        return kg
 
     def _index(self) -> _Index:
         if self._idx is None:
-            self._idx = _Index(self._store)
+            self._idx = _Index(sorted(self._store.values(), key=lambda st: st.triple.sort_key()))
         return self._idx
 
     def statements(self) -> list[ScoredTriple]:
@@ -230,18 +249,8 @@ class KnowledgeGraph:
         """Statements whose subject is `subject`, in canonical order."""
         return list(self._index().by_subject.get(subject, []))
 
-    def confidence(self, t: Triple, default: float = 1.0) -> float:
-        st = self._store.get(t)
-        return st.confidence if st is not None else default
-
     def statement_for(self, t: Triple) -> ScoredTriple | None:
         return self._store.get(t)
-
-    def copy(self) -> "KnowledgeGraph":
-        kg = KnowledgeGraph()
-        kg._store = dict(self._store)
-        kg._idx = self._idx  # a write drops the index instead of changing it
-        return kg
 
     # ------------------------------------------------------------------
     # schema helpers

@@ -329,8 +329,8 @@ def complete_phase(
     sim_threshold: float = 0.8,
     model_out: Path | None = None,
 ) -> tuple[KnowledgeGraph, dict]:
-    """Train on the graph (plus `train_extra`) and add the predicted
-    statements for `relations`.  Before they are added, `agreement`
+    """Train on the graph (plus `train_extra`) and return a new graph with
+    the predicted statements for `relations` added.  `agreement`
     compares each existing assertion with the model's best observed
     object, labels matching at `sim_threshold`.  With `holdout` > 0 that
     fraction of the pool is held out of training and ranked (filtered MRR
@@ -364,8 +364,6 @@ def complete_phase(
             }
         predictions = completion.predict_missing(model, kg, relations, threshold, top_k)
         report["agreement"] = completion.agreement_rates(model, kg, relations, sim_threshold)
-        for st in predictions:
-            kg.add(st)
         report["trained_on"] = len(train_split)
         report["entities"] = len(model.entity_index)
         report["relations"] = len(model.relation_index)
@@ -378,7 +376,10 @@ def complete_phase(
         if model_out is not None:
             completion.save_model(model, model_out)
     report["predicted_count"] = len(predictions)
-    return kg, report
+    out = kg.without(())
+    for st in predictions:
+        out.add(st)
+    return out, report
 
 
 def map_phase(kg: KnowledgeGraph, domain: OntologySchema) -> tuple[KnowledgeGraph, dict]:

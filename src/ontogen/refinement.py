@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import KnowledgeGraph, OntologySchema, ScoredTriple, connected_components
-from .model import RDF_TYPE, Term, is_schema_triple
+from .model import KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple
+from .model import connected_components
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +43,6 @@ class RefineConfig:
     lof_k: int = 5
     lof_threshold: float = 1.5
     min_combo_support: int = 2
-    prune_disconnected: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.low_threshold <= self.band_upper <= 1.0:
@@ -79,21 +78,16 @@ def threshold_filter(
 
     Below the low threshold is removed outright; the closed band
     [low, upper] goes to LOF validation; above the band is kept.  Schema
-    statements always stay.
+    statements always stay.  The kept graph is `kg` without the other two.
     """
-    kept = KnowledgeGraph()
     removed: list[ScoredTriple] = []
     band: list[ScoredTriple] = []
-    for st in kg.statements():
-        if is_schema_triple(st.triple):
-            kept.add(st)
-        elif st.confidence < cfg.low_threshold:
+    for st in kg.data_statements:
+        if st.confidence < cfg.low_threshold:
             removed.append(st)
         elif st.confidence <= cfg.band_upper:
             band.append(st)
-        else:
-            kept.add(st)
-    return kept, removed, band
+    return kg.without(st.triple for st in removed + band), removed, band
 
 
 def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -193,50 +187,43 @@ def _entity_class(
     return min(asserted) if asserted else "?"
 
 
+def _combo(
+    class_map: dict[Term, set[str]], t: Triple, schema: OntologySchema | None = None
+) -> tuple[str, str, str]:
+    """The (subject class, predicate, object class) key of a statement."""
+    return (
+        _entity_class(class_map, t.subject, schema),
+        t.predicate.value,
+        _entity_class(class_map, t.object, schema),
+    )
+
+
 def _combo_counts(
     class_map: dict[Term, set[str]],
     statements: list[ScoredTriple],
     schema: OntologySchema | None = None,
 ) -> Counter:
-    combos: Counter = Counter()
-    for st in statements:
-        t = st.triple
-        combos[
-            (
-                _entity_class(class_map, t.subject, schema),
-                t.predicate.value,
-                _entity_class(class_map, t.object, schema),
-            )
-        ] += 1
-    return combos
+    return Counter(_combo(class_map, st.triple, schema) for st in statements)
 
 
-def triple_features(
-    statements: list[ScoredTriple], context_kg: KnowledgeGraph, context: list[ScoredTriple]
-) -> np.ndarray:
+def triple_features(statements: list[ScoredTriple], context_kg: KnowledgeGraph) -> np.ndarray:
     """Feature vectors for LOF: confidence plus log-scaled degree,
     predicate-frequency, and type-combo-frequency statistics computed over
-    the post-threshold statement population."""
-    population = context + statements
-    degree, pred_freq = _degree_stats(population)
+    `statements`, typed by `context_kg`'s class map."""
+    degree, pred_freq = _degree_stats(statements)
     class_map = context_kg.class_map()
-    combos = _combo_counts(class_map, population)
+    combos = _combo_counts(class_map, statements)
 
     rows = []
     for st in statements:
         t = st.triple
-        combo = (
-            _entity_class(class_map, t.subject),
-            t.predicate.value,
-            _entity_class(class_map, t.object),
-        )
         rows.append(
             [
                 st.confidence,
                 math.log1p(degree[t.subject]),
                 math.log1p(degree[t.object]),
                 math.log1p(pred_freq[t.predicate.value]),
-                math.log1p(combos[combo]),
+                math.log1p(combos[_combo(class_map, t)]),
             ]
         )
     return np.asarray(rows, dtype=float)
@@ -274,7 +261,7 @@ def validate_band(
     # band statements are never rdf:type (threshold_filter keeps every schema
     # statement), so kg's class map is also the class map of kg plus the band
     context = _context_sample(kg.data_statements)
-    points = _minmax(triple_features(band + context, kg, []))
+    points = _minmax(triple_features(band + context, kg))
     scores = lof_scores(points, cfg.lof_k)[: len(band)]
 
     kept: list[ScoredTriple] = []
@@ -302,45 +289,33 @@ def implausible_links(
 
     flagged = []
     for st in data:
-        t = st.triple
-        combo = (
-            _entity_class(class_map, t.subject, schema),
-            t.predicate.value,
-            _entity_class(class_map, t.object, schema),
-        )
+        combo = _combo(class_map, st.triple, schema)
         count = combos[combo]
         if count >= cfg.min_combo_support:
             continue
-        if any(c != combo and n >= 10 for c, n in by_predicate[t.predicate.value]):
+        if any(c != combo and n >= 10 for c, n in by_predicate[combo[1]]):
             flagged.append(ImplausibleLink(st, combo, count))
     return flagged
 
 
-def prune_disconnected(kg: KnowledgeGraph) -> tuple[KnowledgeGraph, list[Term]]:
+def prune_disconnected(
+    kg: KnowledgeGraph,
+) -> tuple[KnowledgeGraph, list[Term], list[ScoredTriple]]:
     """Keep only the largest connected component of the data graph.
 
-    Type assertions about removed entities go with them; pure schema
-    statements (class declarations, subclass edges, domain/range) stay.
+    Returns the pruned graph, the removed nodes and the removed data
+    statements, both in canonical order.  Type assertions about removed
+    entities go with them; pure schema statements (class declarations,
+    subclass edges, domain/range) stay.
     """
     components = connected_components(kg)
-    if len(components) <= 1:
-        return kg.copy(), []
-    keep = components[0]
-    removed_nodes = sorted(
-        (n for comp in components[1:] for n in comp), key=Term.sort_key
-    )
-    removed_set = set(removed_nodes)
-
-    out = KnowledgeGraph()
-    for st in kg.statements():
-        t = st.triple
-        if is_schema_triple(t):
-            if t.predicate.value == RDF_TYPE and t.subject in removed_set:
-                continue
-            out.add(st)
-        elif t.subject not in removed_set and t.object not in removed_set:
-            out.add(st)
-    return out, removed_nodes
+    removed_nodes = sorted((n for comp in components[1:] for n in comp), key=Term.sort_key)
+    gone = set(removed_nodes)
+    removed = [
+        st for st in kg.data_statements if st.triple.subject in gone or st.triple.object in gone
+    ]
+    types = [t for t in kg.type_assertions() if t.subject in gone]
+    return kg.without([st.triple for st in removed] + types), removed_nodes, removed
 
 
 def refine(
@@ -354,25 +329,13 @@ def refine(
     report.removed_by_threshold = removed
     if len(band) <= cfg.lof_k and band:
         report.notes.append(f"band of {len(band)} statements <= lof_k={cfg.lof_k}; LOF skipped")
-    band_kept, band_removed = validate_band(band, kept, cfg)
+    _, band_removed = validate_band(band, kept, cfg)
     report.removed_by_lof = band_removed
-    for st in band_kept:
-        kept.add(st)
+    kept = kg.without([st.triple for st in removed] + [st.triple for st, _ in band_removed])
 
-    flagged = implausible_links(kept, schema, cfg)
-    report.removed_implausible = flagged
-    for item in flagged:
-        kept.remove(item.statement.triple)
+    report.removed_implausible = implausible_links(kept, schema, cfg)
+    kept = kept.without(item.statement.triple for item in report.removed_implausible)
 
-    if cfg.prune_disconnected:
-        before = {st.triple: st for st in kept.data_statements}
-        kept, removed_nodes = prune_disconnected(kept)
-        report.disconnected_nodes = removed_nodes
-        after = {st.triple for st in kept.data_statements}
-        report.removed_disconnected = sorted(
-            (st for t, st in before.items() if t not in after),
-            key=lambda s: s.triple.sort_key(),
-        )
-
+    kept, report.disconnected_nodes, report.removed_disconnected = prune_disconnected(kept)
     report.kept = len(kept.data_statements)
     return kept, report

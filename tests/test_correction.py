@@ -136,14 +136,48 @@ class TestReferenceFactCheck:
 class TestCorrect:
     def test_clean_graph_unchanged(self, reference_schema):
         kg, _ = ff.correction_fixture(0)
-        clean_kg = KnowledgeGraph()
-        for st in kg.statements():
-            clean_kg.add(st)
-        for t in detect_disjointness_violations(kg, reference_schema):
-            clean_kg.remove(t.evidence.property_triple)
+        clean_kg = kg.without(
+            v.evidence.property_triple for v in detect_disjointness_violations(kg, reference_schema)
+        )
         corrected, report = correct(clean_kg, reference_schema, CorrectionConfig())
-        assert corrected == clean_kg
+        assert corrected == clean_kg and corrected is not clean_kg
         assert report.deleted == [] and report.replaced == []
+
+    @staticmethod
+    def _born_in_reference() -> OntologySchema:
+        schema = OntologySchema()
+        schema.classes |= {"Person", "Place"}
+        schema.declare_disjoint("Person", "Place")
+        schema.properties["http://example.org/bornIn"] = PropertyDecl({"Person"}, {"Place"})
+        schema.validate()
+        return schema
+
+    def test_already_deleted_member_deletes_nothing_more(self):
+        # paris's type assertion loses to alice's statement; bob's statement
+        # then conflicts with nothing left and must stay
+        kg = KnowledgeGraph()
+        paris_person = Triple(iri("paris"), Term.iri(RDF_TYPE), Term.iri("Person"))
+        kg.add_triple(paris_person, 0.5)
+        kg.add_triple(Triple(iri("alice"), iri("bornIn"), iri("paris")), 0.9)
+        kg.add_triple(Triple(iri("bob"), iri("bornIn"), iri("paris")), 0.7)
+        corrected, report = correct(kg, self._born_in_reference(), CorrectionConfig())
+        assert len(report.violations) == 2
+        assert report.deleted == [paris_person]
+        assert corrected == kg.without([paris_person])
+
+    def test_already_deleted_property_triple_spares_its_other_partner(self):
+        # the statement loses its domain violation to alice's type assertion;
+        # its range violation then has nothing left to resolve, so paris's
+        # weaker type assertion must stay
+        kg = KnowledgeGraph()
+        born = Triple(iri("alice"), iri("bornIn"), iri("paris"))
+        kg.add_triple(born, 0.4)
+        kg.add_triple(Triple(iri("alice"), Term.iri(RDF_TYPE), Term.iri("Place")), 0.9)
+        kg.add_triple(Triple(iri("paris"), Term.iri(RDF_TYPE), Term.iri("Person")), 0.3)
+        corrected, report = correct(kg, self._born_in_reference(), CorrectionConfig())
+        assert [v.evidence.position for v in report.violations] == ["domain", "range"]
+        assert report.deleted == [born]
+        assert corrected == kg.without([born])
 
     def test_lower_confidence_member_deleted(self, person_location_reference):
         kg = KnowledgeGraph()
@@ -177,7 +211,7 @@ class TestCorrect:
         corrected, report = correct(kg, schema, cfg)
         fixed = Triple(iri("co/fb"), iri("industry"), iri("TechCompany"))
         assert report.replaced == [(Triple(iri("co/fb"), iri("industry"), iri("MotorCompany")), fixed)]
-        assert corrected.confidence(fixed) == 1.0
+        assert corrected.statement_for(fixed).confidence == 1.0
 
     def test_planted_mixed_errors(self, reference_schema):
         kg, planted = ff.correction_fixture(7)

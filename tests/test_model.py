@@ -73,9 +73,9 @@ class TestKnowledgeGraph:
         kg.add(ScoredTriple(t, 0.4))
         kg.add(ScoredTriple(t, 0.7))
         assert len(kg) == 1
-        assert kg.confidence(t) == 0.7
+        assert kg.statement_for(t).confidence == 0.7
         kg.add(ScoredTriple(t, 0.5))
-        assert kg.confidence(t) == 0.7
+        assert kg.statement_for(t).confidence == 0.7
 
     def test_add_to_empty(self):
         kg = KnowledgeGraph()
@@ -168,28 +168,31 @@ class TestCanonicalOrderCache:
         kg.add(ScoredTriple(triple("m", "p", "a"), 0.1))
         assert _views(kg) == _views(_rebuilt(expected))
 
-    def test_remove(self, state):
+    def test_without(self, state):
         kg, expected = state
-        for t in (triple("m", "p", "a"), Triple(iri("m"), Term.iri(RDF_TYPE), iri("Sub"))):
-            assert kg.remove(t)
-            del expected[t]
-            assert _views(kg) == _views(_rebuilt(expected))
-        assert not kg.remove(triple("m", "p", "a"))
-        assert _views(kg) == _views(_rebuilt(expected))
+        before = _views(kg)
+        data, schema = triple("m", "p", "a"), Triple(iri("m"), Term.iri(RDF_TYPE), iri("Sub"))
+        absent = triple("z", "p", "a")
+        derived = kg.without([data, schema, absent])
+        assert derived is not kg and len(derived) == len(expected) - 2
+        assert _views(derived) == _views(
+            _rebuilt({t: s for t, s in expected.items() if t not in (data, schema)})
+        )
+        assert _views(kg) == before
+        assert _views(kg.without([])) == before
 
-    def test_copy_then_mutate_only_the_copy(self, state):
+    def test_add_to_a_derived_graph_leaves_the_parent(self, state):
         kg, expected = state
-        dup = kg.copy()
+        removed = Triple(iri("Sub"), Term.iri(RDFS_SUBCLASS_OF), iri("Super"))
+        dup = kg.without([removed])
         dup_expected = dict(expected)
+        del dup_expected[removed]
         added = ScoredTriple(triple("c", "p", "a"), 0.5)
         stronger = ScoredTriple(triple("b", "p", "m"), 0.99)
-        removed = Triple(iri("Sub"), Term.iri(RDFS_SUBCLASS_OF), iri("Super"))
         dup.add(added)
         dup.add(stronger)
-        dup.remove(removed)
         dup_expected[added.triple] = added
         dup_expected[stronger.triple] = stronger
-        del dup_expected[removed]
         assert _views(dup) == _views(_rebuilt(dup_expected))
         assert _views(kg) == _views(_rebuilt(expected))
 
@@ -231,8 +234,7 @@ _ops = st.lists(
             st.sampled_from([0.1, 0.5, 0.9]),
             st.sampled_from([None, "src"]),
         ),
-        st.tuples(st.just("remove"), st.integers(0, 2), _triples),
-        st.tuples(st.just("copy"), st.integers(0, 2)),
+        st.tuples(st.just("without"), st.integers(0, 3), st.lists(_triples, max_size=3)),
     ),
     max_size=30,
 )
@@ -279,22 +281,27 @@ def _all_views(kg: KnowledgeGraph) -> tuple:
 
 class TestIndexOracle:
     """Every view of the index equals a scan of a plain dict after each of a
-    random sequence of adds (new, stronger, weaker), removes and copies."""
+    random sequence of adds (new, stronger, weaker) and derivations by
+    `without`, on the derived graphs and on the graphs they came from."""
 
     @given(_ops)
     def test_views_match_a_scan_after_every_step(self, ops):
         graphs = [(KnowledgeGraph(), {})]
         for op in ops:
-            kg, expected = graphs[op[1] % len(graphs)]
+            i = op[1] % len(graphs)
+            kg, expected = graphs[i]
             if op[0] == "add":
                 _, _, t, conf, source = op
                 kg.add(ScoredTriple(t, conf, source))
                 if t not in expected or conf > expected[t].confidence:
                     expected[t] = ScoredTriple(t, conf, source)
-            elif op[0] == "remove":
-                assert kg.remove(op[2]) == (expected.pop(op[2], None) is not None)
-            elif len(graphs) < 3:
-                graphs.append((kg.copy(), dict(expected)))
+            else:
+                derived = kg.without(op[2])
+                exp = {t: s for t, s in expected.items() if t not in op[2]}
+                if len(graphs) < 4:
+                    graphs.append((derived, exp))
+                else:
+                    graphs[i] = (derived, exp)
             for g, exp in graphs:
                 assert _all_views(g) == _brute_views(exp)
 

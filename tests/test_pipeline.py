@@ -39,6 +39,19 @@ class TestValidate:
         assert len(diagnostics) == 1
         assert diagnostics[0].startswith("complete:") and "loss" in diagnostics[0]
 
+    def test_removed_refine_option_diagnostic(self, pipeline_config_path, tmp_path):
+        # pruning always runs, so refine has no prune_disconnected switch
+        raw = yaml.safe_load(pipeline_config_path.read_text("utf-8"))
+        for key in ("corpus_dir", "scored_triples", "reference_axioms", "reference_facts",
+                    "domain_ontology"):
+            raw[key] = str(pipeline_config_path.parent / raw[key])
+        raw["refine"] = {"prune_disconnected": False}
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        diagnostics = pipeline.validate(pipeline.PipelineConfig.from_file(path))
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("refine:") and "prune_disconnected" in diagnostics[0]
+
     def test_missing_axiom_file_named(self, pipeline_config_path, tmp_path):
         config = pipeline.PipelineConfig.from_file(pipeline_config_path)
         config.reference_axioms = tmp_path / "gone.ttl"
@@ -298,6 +311,18 @@ class TestCompletePhase:
         assert report["trained_on"] == 160
         assert len(report["loss_history"]) == 3
         assert report["loss_history"][-1] == report["final_loss"]
+
+    def test_predictions_go_to_a_new_graph(self):
+        kg = KnowledgeGraph()
+        for t in ff.kinship_triples():
+            kg.add_triple(t, 0.9)
+        before = kg.statements()
+        out, report = pipeline.complete_phase(
+            kg, TrainConfig(dimension=4, epochs=3), [ff.kin_relation("marriedTo")], threshold=-1.0
+        )
+        assert report["predicted_count"] > 0
+        assert kg.statements() == before
+        assert len(out) == len(kg) + report["predicted_count"]
 
 
 class TestCli:

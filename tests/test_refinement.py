@@ -281,15 +281,15 @@ class TestValidateBand:
 class TestPruneDisconnected:
     def test_fully_connected_unchanged(self):
         kg = _context_graph(10)
-        pruned, removed = prune_disconnected(kg)
-        assert removed == []
+        pruned, removed, dropped = prune_disconnected(kg)
+        assert removed == [] and dropped == []
         assert pruned == kg
 
     def test_island_removed(self):
         kg = _context_graph(50)
         kg.add(st_triple("islandA", "rel", "islandB", 0.9))
         kg.add_triple(Triple(iri("islandA"), Term.iri(RDF_TYPE), iri("Thing")), 0.9)
-        pruned, removed = prune_disconnected(kg)
+        pruned, removed, _ = prune_disconnected(kg)
         assert {n.value for n in removed} == {
             "http://example.org/islandA",
             "http://example.org/islandB",
@@ -302,7 +302,7 @@ class TestPruneDisconnected:
         kg = _context_graph(30)
         kg.add(st_triple("x", "rel", "y", 0.9))
         before = {s.triple for s in kg.data_statements}
-        pruned, removed = prune_disconnected(kg)
+        pruned, removed, _ = prune_disconnected(kg)
         main = {s.triple for s in pruned.data_statements}
         assert main <= before
         assert all(t.subject.value.endswith(("x", "y")) or t.object.value.endswith(("x", "y"))
@@ -312,9 +312,19 @@ class TestPruneDisconnected:
         kg = KnowledgeGraph()
         kg.add(st_triple("zeta1", "p", "zeta2", 0.9))
         kg.add(st_triple("alpha1", "p", "alpha2", 0.9))
-        pruned, removed = prune_disconnected(kg)
+        pruned, removed, _ = prune_disconnected(kg)
         assert iri("alpha1") in {s.triple.subject for s in pruned.data_statements}
         assert iri("zeta1") in set(removed)
+
+    def test_returned_statements_are_the_data_difference(self):
+        kg = _context_graph(30)
+        for s, o in (("x", "y"), ("y", "z"), ("u", "v")):
+            kg.add(st_triple(s, "rel", o, 0.9))
+        kg.add_triple(Triple(iri("x"), Term.iri(RDF_TYPE), iri("Thing")), 0.9)
+        pruned, removed, dropped = prune_disconnected(kg)
+        after = set(pruned.data_statements)
+        assert dropped == [st for st in kg.data_statements if st not in after]
+        assert len(dropped) == 3 and len(removed) == 5
 
 
 class TestImplausibleLinks:
