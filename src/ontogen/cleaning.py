@@ -44,6 +44,12 @@ _VOID_TAGS = frozenset(
     {"br", "hr", "img", "meta", "link", "input", "area", "base", "col", "embed", "source", "wbr"}
 )
 
+#: a segment longer than this many words needs no sentence-ending punctuation
+LONG_TEXT_WORDS = 12
+
+#: least share of alphabetic characters among a sentence's non-space ones
+MIN_ALPHA_RATIO = 0.6
+
 _WS = re.compile(r"\s+")
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 _TRAILING_PUNCT = "\"')]}»"
@@ -69,10 +75,7 @@ def _bundled_verbs() -> frozenset[str]:
 @dataclass(frozen=True)
 class CleanConfig:
     min_words: int = 4
-    long_text_words: int = 12
-    min_alpha_ratio: float = 0.6
     denylist: frozenset[str] = DEFAULT_DENYLIST
-    extra_verbs: frozenset[str] = frozenset()
 
 
 _FORMAT_BY_EXT = {
@@ -109,7 +112,7 @@ def _verb_like(word: str, cfg: CleanConfig) -> bool:
     w = word.strip("\"'.,;:!?()[]{}").lower()
     if not w:
         return False
-    if w in _bundled_verbs() or w in cfg.extra_verbs:
+    if w in _bundled_verbs():
         return True
     if w in cfg.denylist:
         return False
@@ -121,21 +124,20 @@ def _ends_sentence(text: str) -> bool:
     return bool(tail) and tail[-1] in ".!?"
 
 
-def is_sentence(text: str, cfg: CleanConfig | None = None) -> bool:
+def is_sentence(text: str, cfg: CleanConfig = CleanConfig()) -> bool:
     """Deterministic stand-in for a tagger-based sentence check.
 
     Requires enough words, a verb-like token, a sentence ending (or enough
     length to pass without one), and a mostly-alphabetic character mix.
     """
-    cfg = cfg or CleanConfig()
     words = text.split()
     if len(words) < cfg.min_words:
         return False
     nonspace = sum(1 for c in text if not c.isspace())
     alpha = sum(1 for c in text if c.isalpha())
-    if nonspace == 0 or alpha / nonspace < cfg.min_alpha_ratio:
+    if nonspace == 0 or alpha / nonspace < MIN_ALPHA_RATIO:
         return False
-    if not _ends_sentence(text) and len(words) <= cfg.long_text_words:
+    if not _ends_sentence(text) and len(words) <= LONG_TEXT_WORDS:
         return False
     return any(_verb_like(w, cfg) for w in words)
 
@@ -272,57 +274,37 @@ def _html_elements(node: HtmlNode):
 
 
 def _iter_xml_elements(text: str):
+    """(tag, direct text, in_item) for every element in document order.
+    `in_item` means an `<item>` ancestor; on the HTML fallback for text
+    that is not well-formed XML, an `<item>` anywhere earlier."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError:
-        yield from _html_elements(parse_html(text))
+        seen_item = False
+        for tag, content in _html_elements(parse_html(text)):
+            yield tag, content, seen_item
+            seen_item = seen_item or tag == "item"
         return
-    for elem in root.iter():
-        yield _strip_ns(elem.tag), elem.text or ""
+    stack = [(root, False)]
+    while stack:
+        elem, in_item = stack.pop()
+        tag = _strip_ns(elem.tag)
+        yield tag, elem.text or "", in_item
+        stack.extend((child, in_item or tag == "item") for child in reversed(elem))
 
 
 def _clean_rss(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
-    segments: list[str] = []
-    in_item = False
-    for tag, content in _iter_xml_elements_with_items(text):
-        if tag == "item":
-            in_item = True
-            continue
-        if in_item and tag in ("title", "description"):
-            norm = _strip_markup(content)
-            if norm:
-                segments.append(norm)
-    return segments, 0
-
-
-def _iter_xml_elements_with_items(text: str):
-    """Yield (tag, text) pairs, with item children appearing after their 'item'."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError:
-        yield from _html_elements(parse_html(text))
-        return
-
-    def walk(elem, inside_item: bool):
-        tag = _strip_ns(elem.tag)
-        if tag == "item":
-            yield ("item", "")
-            inside_item = True
-        elif inside_item:
-            yield (tag, elem.text or "")
-        for child in elem:
-            yield from walk(child, inside_item)
-
-    yield from walk(root, False)
+    segments = [
+        _strip_markup(content)
+        for tag, content, in_item in _iter_xml_elements(text)
+        if in_item and tag in ("title", "description")
+    ]
+    return [s for s in segments if s], 0
 
 
 def _clean_xml(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
-    segments = []
-    for _tag, content in _iter_xml_elements(text):
-        norm = _normalize(content)
-        if norm:
-            segments.append(norm)
-    return segments, 0
+    segments = [_normalize(content) for _, content, _ in _iter_xml_elements(text)]
+    return [s for s in segments if s], 0
 
 
 def _clean_plain(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
@@ -338,9 +320,8 @@ _CLEANERS = {
 }
 
 
-def clean(doc: RawDocument, cfg: CleanConfig | None = None) -> CleanDocument:
+def clean(doc: RawDocument, cfg: CleanConfig = CleanConfig()) -> CleanDocument:
     """Clean one document according to its format hint."""
-    cfg = cfg or CleanConfig()
     if doc.format_hint not in _CLEANERS:
         raise CleanError(f"unknown format hint {doc.format_hint!r} for {doc.origin}")
     try:
@@ -355,12 +336,11 @@ def clean(doc: RawDocument, cfg: CleanConfig | None = None) -> CleanDocument:
 def clean_directory(
     in_dir: Path,
     out_dir: Path,
-    cfg: CleanConfig | None = None,
+    cfg: CleanConfig = CleanConfig(),
     format_override: str | None = None,
 ) -> dict:
     """Clean every file in a directory, writing one .txt per input plus a
     JSON summary of kept/dropped counts."""
-    cfg = cfg or CleanConfig()
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"files": {}, "total_kept": 0, "total_dropped": 0}
     for path in sorted(p for p in in_dir.iterdir() if p.is_file()):

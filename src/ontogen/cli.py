@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 phase failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -26,18 +27,29 @@ def _save(kg, out: str, report: dict, report_path: str | None) -> None:
         pipeline.write_json(Path(report_path), report)
 
 
+def _given(args, target) -> dict:
+    """The flags given on the command line that name parameters of
+    `target`: fields of a config class, or `complete_phase` arguments."""
+    given = {name: getattr(args, name, None) for name in inspect.signature(target).parameters}
+    return {k: v for k, v in given.items() if v is not None}
+
+
+def _config(args, section: str, cls, **list_files):
+    """`cls` from the flags that name its fields, built by
+    `pipeline.phase_config` as `run` builds it.  A flag named in
+    `list_files` gives a file, read by the function given there."""
+    opts = _given(args, cls)
+    opts.update((k, sorted(read(Path(opts[k])))) for k, read in list_files.items() if k in opts)
+    return pipeline.phase_config(section, cls, opts)
+
+
 # ----------------------------------------------------------------------
-# subcommand handlers: parse arguments, read the input, run the phase
+# subcommand handlers: build the phase config as `run` does (a flag left out
+# keeps the field's default), read the input, run the phase
 
 def _cmd_clean(args) -> int:
-    cfg_kwargs = {}
-    if args.min_words is not None:
-        cfg_kwargs["min_words"] = args.min_words
-    if args.denylist is not None:
-        cfg_kwargs["denylist"] = cleaning.load_denylist(Path(args.denylist))
-    summary = pipeline.clean_phase(
-        Path(args.in_dir), Path(args.out_dir), cleaning.CleanConfig(**cfg_kwargs), args.format
-    )
+    cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.load_denylist)
+    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg, args.format)
     print(f"cleaned {len(summary['files'])} files: kept {summary['total_kept']} sentences")
     return EXIT_OK
 
@@ -53,14 +65,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    cfg = _config(args, "refine", refinement.RefineConfig)
     kg, _ = pipeline.ingest_phase(Path(args.in_file))
     schema = pipeline.load_ontology(Path(args.schema)) if args.schema else None
-    cfg = refinement.RefineConfig(
-        low_threshold=args.low,
-        band_upper=args.high,
-        lof_k=args.lof_k,
-        lof_threshold=args.lof_threshold,
-    )
     kg, report = pipeline.refine_phase(kg, schema, cfg)
     _save(kg, args.out, report, args.report)
     print(f"refined: kept {report['kept']} data statements")
@@ -68,10 +75,9 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_correct(args) -> int:
+    cfg = _config(args, "correct", correction.CorrectionConfig, functional=cleaning.read_list)
     kg = pipeline.read_graph(Path(args.in_file))
     reference = pipeline.load_ontology(Path(args.axioms))
-    functional = frozenset(cleaning.read_list(Path(args.functional)) if args.functional else ())
-    cfg = correction.CorrectionConfig(functional=functional, sim_threshold=args.sim_threshold)
     facts = Path(args.reference) if args.reference else None
     kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
     _save(kg, args.out, report, args.report)
@@ -83,30 +89,11 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    cfg = _config(args, "complete", completion.TrainConfig)
     kg = pipeline.read_graph(Path(args.in_file))
-    cfg = completion.TrainConfig(
-        dimension=args.dim,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        l2_lambda=args.l2,
-        negatives_per_positive=args.negatives,
-        seed=args.seed,
-    )
-    relations = (
-        [Term.iri(r) for r in cleaning.read_list(Path(args.predict_relations))]
-        if args.predict_relations
-        else []
-    )
+    relations = cleaning.read_list(Path(args.predict_relations)) if args.predict_relations else []
     kg, report = pipeline.complete_phase(
-        kg,
-        cfg,
-        relations,
-        args.threshold,
-        args.top_k,
-        args.holdout,
-        Path(args.train_extra) if args.train_extra else None,
-        model_out=args.model_out,
+        kg, cfg, [Term.iri(r) for r in relations], **_given(args, pipeline.complete_phase)
     )
     _save(kg, args.out, report, args.metrics)
     for note in report["notes"]:
@@ -181,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--low", type=float, default=0.3)
-    p.add_argument("--high", type=float, default=0.5)
-    p.add_argument("--lof-k", type=int, default=5, dest="lof_k")
-    p.add_argument("--lof-threshold", type=float, default=1.5, dest="lof_threshold")
+    p.add_argument("--low", type=float, dest="low_threshold")
+    p.add_argument("--high", type=float, dest="band_upper")
+    p.add_argument("--lof-k", type=int, dest="lof_k")
+    p.add_argument("--lof-threshold", type=float, dest="lof_threshold")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("correct", help="axiom and reference-fact error correction")
@@ -192,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axioms", required=True)
     p.add_argument("--reference")
     p.add_argument("--functional", help="file with one functional property IRI per line")
-    p.add_argument("--sim-threshold", type=float, default=0.8, dest="sim_threshold")
+    p.add_argument("--sim-threshold", type=float, dest="sim_threshold")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_correct)
@@ -200,19 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="train embeddings and predict missing statements")
     p.add_argument("--in", dest="in_file", required=True)
     p.add_argument("--train-extra", dest="train_extra", help="extra (h, r, t) TSV triples")
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--dim", type=int, dest="dimension")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--l2", type=float, dest="l2_lambda")
+    p.add_argument("--negatives", type=int, dest="negatives_per_positive")
+    p.add_argument("--seed", type=int)
     p.add_argument("--predict-relations", dest="predict_relations",
                    help="file with one relation IRI per line")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top-k", type=int, default=1, dest="top_k")
-    p.add_argument("--holdout", type=float, default=0.0,
-                   help="fraction held out for filtered-rank metrics")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--top-k", type=int, dest="top_k")
+    p.add_argument("--holdout", type=float, help="fraction held out for filtered-rank metrics")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
     p.add_argument("--model-out", dest="model_out")

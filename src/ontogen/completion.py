@@ -122,8 +122,10 @@ def _all_tail_scores(
 
 @dataclass
 class _Step:
-    """L2 term and gradients compacted to the distinct rows a batch touches."""
+    """Logistic data loss, L2 term, and gradients compacted to the distinct
+    rows a batch touches."""
 
+    loss: float
     l2: float
     entity_rows: np.ndarray
     entity_re: np.ndarray
@@ -134,18 +136,18 @@ class _Step:
 
 
 def _core(
-    m: EmbeddingModel, h, r, t, dldf=None, lam: float = 0.0
+    m: EmbeddingModel, h, r, t, y: np.ndarray | None = None, lam: float = 0.0
 ) -> tuple[np.ndarray, _Step | None]:
-    """Scores for index arrays and, when `dldf` maps those scores to the
-    loss derivative per example, the step: L2 on the distinct rows touched
-    plus the gradient of loss + L2 on exactly those rows."""
+    """Scores for index arrays and, given labels `y` (+1/-1), the logistic
+    step: the data loss sum(log(1 + exp(-y f))), L2 on the distinct rows
+    touched, and the gradient of loss + L2 on exactly those rows."""
     h_re, h_im = m.entity_re[h], m.entity_im[h]
     t_re, t_im = m.entity_re[t], m.entity_im[t]
     r_re, r_im = m.relation_re[r], m.relation_im[r]
     f = (r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)).sum(axis=-1)
-    if dldf is None:
+    if y is None:
         return f, None
-    w = dldf(f)[:, None]
+    w = (-y * _sigmoid(-y * f))[:, None]
 
     # one sort per parameter kind, shared by its real and imaginary parts;
     # entity rows take the head contributions, then the tail contributions
@@ -170,7 +172,8 @@ def _core(
         ge_im += 2 * lam * m.entity_im[ue]
         gr_re += 2 * lam * m.relation_re[ur]
         gr_im += 2 * lam * m.relation_im[ur]
-    return f, _Step(l2, ue, ge_re, ge_im, ur, gr_re, gr_im)
+    loss = float(np.logaddexp(0.0, -y * f).sum())
+    return f, _Step(loss, l2, ue, ge_re, ge_im, ur, gr_re, gr_im)
 
 
 def _row_sums(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -213,8 +216,8 @@ def loss_and_gradient(
     r = np.array([model.relation_row(t.predicate) for t, _ in batch])
     t_ = np.array([model.entity_row(t.object) for t, _ in batch])
 
-    f, step = _core(model, h, r, t_, lambda s: -labels * _sigmoid(-labels * s), cfg.l2_lambda)
-    loss = float(np.logaddexp(0.0, -labels * f).sum()) + step.l2
+    _, step = _core(model, h, r, t_, labels, cfg.l2_lambda)
+    loss = step.loss + step.l2
 
     grads = Gradients(
         np.zeros_like(model.entity_re),
@@ -319,14 +322,13 @@ def _sample_negatives(
     return out[free > 0]
 
 
-def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingModel:
+def train(triples: list[Triple], cfg: TrainConfig = TrainConfig()) -> EmbeddingModel:
     """Train an embedding model on a triple list.
 
     Input order does not matter: the vocabulary and the positive pool are
     canonicalized by sorting, and every random draw comes from the seeded
     generator, so a fixed seed reproduces the model bit for bit.
     """
-    cfg = cfg or TrainConfig()
     if not triples:
         raise CompletionError("cannot train on an empty triple list")
     triples = sorted(set(triples), key=Triple.sort_key)
@@ -363,8 +365,8 @@ def train(triples: list[Triple], cfg: TrainConfig | None = None) -> EmbeddingMod
             r = np.concatenate([batch_pos[:, 1], negs[:, 2]])
             t = np.concatenate([batch_pos[:, 2], negs[:, 3]])
             y = np.concatenate([np.ones(len(batch_pos)), -np.ones(len(negs))])
-            f, step = _core(model, h, r, t, lambda s: -y * _sigmoid(-y * s), lam)
-            epoch_loss += float(np.logaddexp(0.0, -y * f).sum())
+            f, step = _core(model, h, r, t, y, lam)
+            epoch_loss += step.loss
             epoch_loss += step.l2
             examples += len(f)
 
@@ -454,8 +456,8 @@ def predict_missing(
     model: EmbeddingModel,
     kg: KnowledgeGraph,
     candidate_relations: list[Term],
-    threshold: float = 0.5,
-    top_k: int = 1,
+    threshold: float,
+    top_k: int,
 ) -> list[ScoredTriple]:
     """Propose new statements for entities lacking a candidate relation.
 
@@ -510,7 +512,7 @@ def predict_missing(
 
 
 def agreement_rates(
-    model: EmbeddingModel, kg: KnowledgeGraph, relations: list[Term], sim_threshold: float = 0.8
+    model: EmbeddingModel, kg: KnowledgeGraph, relations: list[Term], sim_threshold: float
 ) -> dict[str, float | None]:
     """Per relation, the share of subjects whose existing object agrees
     (by `correction.terms_agree`) with the model's best tail among the

@@ -12,6 +12,10 @@ from .model import KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple, R
 from .rdf_io import local_name
 
 
+#: confidence assigned to reference-corrected statements
+REFERENCE_CONFIDENCE = 1.0
+
+
 class CorrectionError(ValueError):
     """Reference ontology unusable for the requested check."""
 
@@ -22,8 +26,6 @@ class CorrectionConfig:
     functional: frozenset[str] = frozenset()
     #: object values at least this similar to the reference value do not conflict
     sim_threshold: float = 0.8
-    #: confidence assigned to reference-corrected statements
-    reference_confidence: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def reference_fact_check(
 
 
 def correct(
-    kg: KnowledgeGraph, reference: OntologySchema, cfg: CorrectionConfig | None = None
+    kg: KnowledgeGraph, reference: OntologySchema, cfg: CorrectionConfig = CorrectionConfig()
 ) -> tuple[KnowledgeGraph, CorrectionReport]:
     """Apply both checks to the graph and derive the corrected graph.
 
@@ -222,7 +224,6 @@ def correct(
     nothing.  Reference conflicts on the statements left replace the object
     with the reference value at the configured confidence.
     """
-    cfg = cfg or CorrectionConfig()
     report = CorrectionReport()
     report.checked = len(kg.data_statements) + len(kg.type_assertions())
 
@@ -254,5 +255,5 @@ def correct(
 
     out = kg.without(deleted | {old for old, _ in report.replaced})
     for old, new in report.replaced:
-        out.add(ScoredTriple(new, cfg.reference_confidence, kg.statement_for(old).source_id))
+        out.add(ScoredTriple(new, REFERENCE_CONFIDENCE, kg.statement_for(old).source_id))
     return out, report

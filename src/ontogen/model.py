@@ -350,9 +350,8 @@ def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
         groups[find(node)].add(node)
 
     def comp_key(comp: set[Term]) -> tuple:
-        iris = sorted(n.value for n in comp if n.is_iri)
-        smallest = iris[0] if iris else min(n.sort_key() for n in comp)
-        return (-len(comp), smallest)
+        smallest = min((n.value for n in comp if n.is_iri), default=None)
+        return (-len(comp), min(n.sort_key() for n in comp) if smallest is None else smallest)
 
     return sorted(groups.values(), key=comp_key)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from functools import partial
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -51,15 +52,77 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
+#: complete-section keys that are `complete_phase` arguments -> PipelineConfig field
+_COMPLETE_ARGS = {"predict_relations": "predict_relations", "threshold": "predict_threshold",
+                  "top_k": "predict_top_k", "holdout": "holdout_fraction"}
+#: config-file section -> (its phase's config class, the PipelineConfig field
+#: holding its options, {section key that fills another field: that field})
+_SECTIONS = {
+    "clean": (cleaning.CleanConfig, "clean_options", {"format": "clean_format"}),
+    "refine": (refinement.RefineConfig, "refine_options", {}),
+    "correct": (correction.CorrectionConfig, "correction_options", {}),
+    "complete": (completion.TrainConfig, "train_options",
+                 {**_COMPLETE_ARGS, "train_extra": "train_extra"}),
+}
+#: top-level path keys and the file each names when the config leaves it out
+_PATHS = {"scored_triples": "triples.jsonl", "reference_axioms": "axioms.ttl",
+          "domain_ontology": "domain.ttl", "output_dir": "out", "corpus_dir": None,
+          "reference_facts": None}
+
+_STR_LIST = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+#: annotated setting type -> (what a value must be, its check, its conversion);
+#: `type(v) is int` keeps booleans out of the numbers
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a number", lambda v: type(v) in (int, float), float),
+    "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "list[str]": (*_STR_LIST, list),
+    "frozenset[str]": (*_STR_LIST, frozenset),
+}
+
+
+def _settings(section: str, types: dict[str, str], opts: dict) -> dict:
+    """`opts` checked against `types`, the annotated type of each key, and
+    converted by `_KINDS`.  Raises ValidationError with one `<section>: ...`
+    diagnostic naming the first unknown or mistyped key."""
+    out = {}
+    for key, value in opts.items():
+        if key not in types:
+            raise ValidationError([f"{section}: unknown key {key!r}"])
+        what, check, convert = _KINDS[types[key]]
+        if not check(value):
+            where = f"{section}: {key}" if section else key
+            raise ValidationError([f"{where} must be {what}, got {value!r}"])
+        out[key] = convert(value)
+    return out
+
+
+def phase_config(section: str, cls, opts: dict, **fallback):
+    """A `cls` from `opts`, one config-file section or the flags a
+    subcommand was given: `_settings` checks and converts each value, a
+    field absent from `opts` takes its `fallback` value if any, else its
+    default, and `cls`'s own checks run last.  Raises ValidationError."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {k: v for k, v in fallback.items() if k in types} | _settings(section, types, opts)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValidationError([f"{section}: {exc}"]) from None
+
+
 @dataclass
 class PipelineConfig:
+    """A run's settings as the config file gives them: paths resolved,
+    every other value as written.  `phase_configs` checks and converts
+    them with the code the subcommands use for their flags."""
+
     scored_triples: Path
     reference_axioms: Path
     domain_ontology: Path
     output_dir: Path
     corpus_dir: Path | None = None
     reference_facts: Path | None = None
-    seed: int = 42
+    seed: int = completion.TrainConfig.seed
     clean_format: str | None = None
     clean_options: dict = field(default_factory=dict)
     refine_options: dict = field(default_factory=dict)
@@ -75,81 +138,66 @@ class PipelineConfig:
 
     @staticmethod
     def from_file(path: Path) -> "PipelineConfig":
+        """The config a YAML file holds: each section's keys go to its
+        options or to the field `_SECTIONS` names, relative paths resolve
+        against the file's directory, and no value is converted."""
         raw = yaml.safe_load(path.read_text("utf-8")) or {}
         if not isinstance(raw, dict):
             raise ValidationError([f"{path}: config must be a mapping"])
+        given = {key: raw[key] for key in ("seed", *_PATHS) if key in raw}
+        for section, (_, options, args) in _SECTIONS.items():
+            opts = raw.get(section) or {}
+            if not isinstance(opts, dict):
+                raise ValidationError([f"{section}: must be a mapping, got {opts!r}"])
+            given[options] = {k: v for k, v in opts.items() if k not in args}
+            given.update((name, opts[k]) for k, name in args.items() if k in opts)
         base = path.resolve().parent
+        for key, default in (*_PATHS.items(), ("train_extra", None)):
+            value = default if given.get(key) is None else given[key]
+            if value is not None and not isinstance(value, str):
+                raise ValidationError([f"{key}: must be a path, got {value!r}"])
+            given[key] = None if value is None else base / value
+        return PipelineConfig(**given)
 
-        def pathify(value) -> Path | None:
-            if value is None:
-                return None
-            p = Path(str(value))
-            return p if p.is_absolute() else base / p
-
-        clean_opts = dict(raw.get("clean") or {})
-        train_opts = dict(raw.get("complete") or {})
-        return PipelineConfig(
-            scored_triples=pathify(raw.get("scored_triples")) or base / "triples.jsonl",
-            reference_axioms=pathify(raw.get("reference_axioms")) or base / "axioms.ttl",
-            domain_ontology=pathify(raw.get("domain_ontology")) or base / "domain.ttl",
-            output_dir=pathify(raw.get("output_dir")) or base / "out",
-            corpus_dir=pathify(raw.get("corpus_dir")),
-            reference_facts=pathify(raw.get("reference_facts")),
-            seed=int(raw.get("seed", 42)),
-            clean_format=clean_opts.pop("format", None),
-            clean_options=clean_opts,
-            refine_options=dict(raw.get("refine") or {}),
-            correction_options=dict(raw.get("correct") or {}),
-            train_extra=pathify(train_opts.pop("train_extra", None)),
-            predict_relations=[str(r) for r in train_opts.pop("predict_relations", [])],
-            predict_threshold=float(train_opts.pop("threshold", 0.5)),
-            predict_top_k=int(train_opts.pop("top_k", 1)),
-            holdout_fraction=float(train_opts.pop("holdout", 0.0)),
-            train_options=train_opts,
+    def phase_configs(self) -> dict:
+        """Each section's config object by section name, and `complete_phase`'s
+        keyword arguments under "complete_args", every value checked and
+        converted.  Raises ValidationError with every bad section's diagnostics."""
+        types = {f.name: f.type for f in fields(self)}
+        makers = {
+            section: partial(phase_config, section, cls, getattr(self, options), seed=self.seed)
+            for section, (cls, options, _) in _SECTIONS.items()
+        }
+        makers["seed"] = partial(_settings, "", {"seed": types["seed"]}, {"seed": self.seed})
+        makers["complete_args"] = partial(
+            _settings, "complete", {k: types[f] for k, f in _COMPLETE_ARGS.items()},
+            {k: getattr(self, f) for k, f in _COMPLETE_ARGS.items()},
         )
-
-    def make_clean_config(self) -> cleaning.CleanConfig:
-        opts = dict(self.clean_options)
-        if "denylist" in opts:
-            opts["denylist"] = frozenset(opts["denylist"])
-        return cleaning.CleanConfig(**opts)
-
-    def make_refine_config(self) -> refinement.RefineConfig:
-        return refinement.RefineConfig(**self.refine_options)
-
-    def make_correction_config(self) -> correction.CorrectionConfig:
-        opts = dict(self.correction_options)
-        functional = frozenset(opts.pop("functional", []))
-        return correction.CorrectionConfig(functional=functional, **opts)
-
-    def make_train_config(self) -> completion.TrainConfig:
-        opts = dict(self.train_options)
-        opts.setdefault("seed", self.seed)
-        return completion.TrainConfig(**opts)
+        built, diagnostics = {}, []
+        for name, make in makers.items():
+            try:
+                built[name] = make()
+            except ValidationError as exc:
+                diagnostics += exc.diagnostics
+        if diagnostics:
+            raise ValidationError(diagnostics)
+        args = built["complete_args"]
+        args["relations"] = [Term.iri(r) for r in args.pop("predict_relations")]
+        return built
 
     def canonical_dict(self) -> dict:
-        return {
-            "scored_triples": str(self.scored_triples),
-            "reference_axioms": str(self.reference_axioms),
-            "domain_ontology": str(self.domain_ontology),
-            "output_dir": str(self.output_dir),
-            "corpus_dir": str(self.corpus_dir) if self.corpus_dir else None,
-            "reference_facts": str(self.reference_facts) if self.reference_facts else None,
-            "seed": self.seed,
-            "clean_format": self.clean_format,
-            "clean_options": self.clean_options,
-            "refine_options": self.refine_options,
-            "correction_options": {
-                k: (sorted(v) if isinstance(v, (list, set, frozenset)) else v)
-                for k, v in self.correction_options.items()
-            },
-            "train_options": self.train_options,
-            "train_extra": str(self.train_extra) if self.train_extra else None,
-            "predict_relations": self.predict_relations,
-            "predict_threshold": self.predict_threshold,
-            "predict_top_k": self.predict_top_k,
-            "holdout_fraction": self.holdout_fraction,
+        """Every field as `config_hash` hashes it: paths as strings, float
+        settings as floats, and the correct section's lists sorted."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = float(value) if f.type == "float" else value
+            if isinstance(value, Path):
+                out[f.name] = str(value)
+        out["correction_options"] = {
+            k: sorted(v) if isinstance(v, list) else v for k, v in self.correction_options.items()
         }
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
@@ -205,16 +253,10 @@ def validate(config: PipelineConfig) -> list[str]:
     if config.corpus_dir is not None and not Path(config.corpus_dir).is_dir():
         out.append(f"corpus_dir: no such directory: {config.corpus_dir}")
 
-    for maker, label in (
-        (config.make_clean_config, "clean"),
-        (config.make_refine_config, "refine"),
-        (config.make_correction_config, "correct"),
-        (config.make_train_config, "complete"),
-    ):
-        try:
-            maker()
-        except (TypeError, ValueError) as exc:
-            out.append(f"{label}: {exc}")
+    try:
+        config.phase_configs()
+    except ValidationError as exc:
+        out += exc.diagnostics
 
     for label, path in (
         ("reference_axioms", config.reference_axioms),
@@ -322,11 +364,11 @@ def complete_phase(
     kg: KnowledgeGraph,
     cfg: completion.TrainConfig,
     relations: list[Term],
-    threshold: float = 0.5,
-    top_k: int = 1,
-    holdout: float = 0.0,
+    threshold: float = PipelineConfig.predict_threshold,
+    top_k: int = PipelineConfig.predict_top_k,
+    holdout: float = PipelineConfig.holdout_fraction,
     train_extra: Path | None = None,
-    sim_threshold: float = 0.8,
+    sim_threshold: float = correction.CorrectionConfig.sim_threshold,
     model_out: Path | None = None,
 ) -> tuple[KnowledgeGraph, dict]:
     """Train on the graph (plus `train_extra`) and return a new graph with
@@ -412,6 +454,7 @@ def run(config: PipelineConfig) -> PipelineResult:
     diagnostics = validate(config)
     if diagnostics:
         raise ValidationError(diagnostics)
+    configs = config.phase_configs()
 
     out_dir = Path(config.output_dir)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
@@ -440,10 +483,7 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     with timed("clean"):
         report = clean_phase(
-            config.corpus_dir,
-            out_dir / ARTIFACTS["clean"],
-            config.make_clean_config(),
-            config.clean_format,
+            config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"], config.clean_format
         )
         save("clean", None, report, files=len(report["files"]),
              kept=report["total_kept"], dropped=report["total_dropped"])
@@ -455,7 +495,7 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     with timed("refine"):
         reference = load_ontology(Path(config.reference_axioms))
-        kg, report = refine_phase(kg, reference, config.make_refine_config())
+        kg, report = refine_phase(kg, reference, configs["refine"])
         save("refine", kg, report,
              removed_threshold=len(report["removed_by_threshold"]),
              removed_lof=len(report["removed_by_lof"]),
@@ -464,22 +504,14 @@ def run(config: PipelineConfig) -> PipelineResult:
              kept=report["kept"])
 
     with timed("correct"):
-        kg, report = correct_phase(
-            kg, reference, config.make_correction_config(), config.reference_facts
-        )
+        kg, report = correct_phase(kg, reference, configs["correct"], config.reference_facts)
         save("correct", kg, report, violations=len(report["violations"]),
              deleted=len(report["deleted"]), replaced=len(report["replaced"]))
 
     with timed("complete"):
         kg, report = complete_phase(
-            kg,
-            config.make_train_config(),
-            [Term.iri(r) for r in config.predict_relations],
-            config.predict_threshold,
-            config.predict_top_k,
-            config.holdout_fraction,
-            config.train_extra,
-            config.make_correction_config().sim_threshold,
+            kg, configs["complete"], **configs["complete_args"], train_extra=config.train_extra,
+            sim_threshold=configs["correct"].sim_threshold,
         )
         save("complete", kg, report, predicted=report["predicted_count"])
 

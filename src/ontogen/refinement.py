@@ -27,6 +27,9 @@ LRD_CAP = 1e12
 #: largest kept-statement sample mixed into the band's LOF context
 CONTEXT_POOL = 512
 
+#: statements a (subject class, predicate, object class) combination needs to be plausible
+MIN_COMBO_SUPPORT = 2
+
 #: bytes of one block of distance rows; LOF holds one such block plus the
 #: neighbor lists, never an n x n matrix
 LOF_BLOCK_BYTES = 5 << 20
@@ -42,7 +45,6 @@ class RefineConfig:
     band_upper: float = 0.5
     lof_k: int = 5
     lof_threshold: float = 1.5
-    min_combo_support: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.low_threshold <= self.band_upper <= 1.0:
@@ -274,9 +276,7 @@ def validate_band(
     return kept, removed
 
 
-def implausible_links(
-    kg: KnowledgeGraph, schema: OntologySchema | None, cfg: RefineConfig
-) -> list[ImplausibleLink]:
+def implausible_links(kg: KnowledgeGraph, schema: OntologySchema | None) -> list[ImplausibleLink]:
     """Flag statements whose (subject-class, predicate, object-class)
     combination is rare while the predicate is common under another
     combination."""
@@ -291,7 +291,7 @@ def implausible_links(
     for st in data:
         combo = _combo(class_map, st.triple, schema)
         count = combos[combo]
-        if count >= cfg.min_combo_support:
+        if count >= MIN_COMBO_SUPPORT:
             continue
         if any(c != combo and n >= 10 for c, n in by_predicate[combo[1]]):
             flagged.append(ImplausibleLink(st, combo, count))
@@ -319,10 +319,9 @@ def prune_disconnected(
 
 
 def refine(
-    kg: KnowledgeGraph, schema: OntologySchema | None, cfg: RefineConfig | None = None
+    kg: KnowledgeGraph, schema: OntologySchema | None, cfg: RefineConfig = RefineConfig()
 ) -> tuple[KnowledgeGraph, RefinementReport]:
     """Run the full anomaly-exclusion phase."""
-    cfg = cfg or RefineConfig()
     report = RefinementReport()
 
     kept, removed, band = threshold_filter(kg, cfg)
@@ -333,7 +332,7 @@ def refine(
     report.removed_by_lof = band_removed
     kept = kg.without([st.triple for st in removed] + [st.triple for st, _ in band_removed])
 
-    report.removed_implausible = implausible_links(kept, schema, cfg)
+    report.removed_implausible = implausible_links(kept, schema)
     kept = kept.without(item.statement.triple for item in report.removed_implausible)
 
     kept, report.disconnected_nodes, report.removed_disconnected = prune_disconnected(kept)

@@ -1,17 +1,72 @@
+import argparse
+import inspect
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 import fixture_factory as ff
-from ontogen import pipeline
-from ontogen.cli import main as cli_main
+from ontogen import cleaning, completion, correction, pipeline, refinement
+from ontogen.cli import build_parser, main as cli_main
 from ontogen.completion import TrainConfig
 from ontogen.model import KnowledgeGraph, Term, Triple
 from ontogen.refinement import RefineConfig
 from ontogen.rdf_io import parse_ntriples, render_triple
+
+
+def _run_with(src: Path, tmp: Path, key: str, value) -> list[str]:
+    """`run` argv for a copy of the demo config with `key` set to `value`,
+    merged into the section when both are mappings; output under `tmp/out`."""
+    raw = yaml.safe_load((src / "pipeline.yaml").read_text("utf-8"))
+    for k in ("corpus_dir", "scored_triples", "reference_axioms", "reference_facts",
+              "domain_ontology"):
+        raw[k] = str(src / raw[k])
+    raw["output_dir"] = str(tmp / "out")
+    section = raw.get(key) or {}
+    raw[key] = {**section, **value} if isinstance(value, dict) else value
+    path = tmp / "pipeline.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return ["run", "--config", str(path)]
+
+
+def _kinship_nt(tmp: Path) -> str:
+    from ontogen.rdf_io import serialize_ntriples
+
+    path = tmp / "kinship.nt"
+    path.write_bytes(serialize_ntriples(ff.kinship_triples(n_families=1)))
+    return str(path)
+
+
+FOCUS = ff.PROP + "businessFocus"
+
+# each case: the section its diagnostic must name, and argv from the demo
+# fixture directory and a scratch directory
+MALFORMED_SETTINGS = [
+    pytest.param("seed", lambda src, tmp: _run_with(src, tmp, "seed", "abc"), id="seed-string"),
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {"threshold": "abc"}),
+                 id="threshold-string"),
+    pytest.param("refine", lambda src, tmp: _run_with(src, tmp, "refine", [1, 2]), id="refine-list"),
+    pytest.param("complete",
+                 lambda src, tmp: _run_with(src, tmp, "complete", {"predict_relations": None}),
+                 id="predict-relations-null"),
+    pytest.param("complete",
+                 lambda src, tmp: _run_with(src, tmp, "complete", {"predict_relations": FOCUS}),
+                 id="predict-relations-scalar"),
+    pytest.param("correct", lambda src, tmp: _run_with(src, tmp, "correct", {"functional": FOCUS}),
+                 id="functional-scalar"),
+    pytest.param("clean", lambda src, tmp: _run_with(src, tmp, "clean", {"denylist": "ads"}),
+                 id="denylist-scalar"),
+    pytest.param("refine", lambda src, tmp: [
+        "refine", "--in", str(src / "triples.jsonl"), "--out", str(tmp / "out" / "kg.nt"),
+        "--report", str(tmp / "out" / "refine.json"), "--low", "0.7", "--high", "0.5",
+    ], id="refine-flags-low-above-high"),
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--dim", "0", "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-dim-0"),
+]
 
 
 def read_graph_triples(path: Path) -> set[Triple]:
@@ -452,6 +507,36 @@ class TestCli:
         cfg = work / "pipeline.yaml"
         cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert cli_main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("section, argv", MALFORMED_SETTINGS)
+    def test_malformed_setting_is_a_validation_failure(
+        self, section, argv, tmp_path, pipeline_fixture_dir, capsys
+    ):
+        assert cli_main(argv(pipeline_fixture_dir, tmp_path)) == 1
+        diagnostics = capsys.readouterr().err.splitlines()
+        assert any(d.startswith(f"invalid config: {section}") for d in diagnostics), diagnostics
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_mirroring_a_setting_have_no_default_of_their_own(self):
+        # a flag left out falls through to the config field's or
+        # complete_phase's one default
+        names = {
+            f.name
+            for cls in (pipeline.PipelineConfig, cleaning.CleanConfig, refinement.RefineConfig,
+                        correction.CorrectionConfig, completion.TrainConfig)
+            for f in fields(cls)
+        } | set(inspect.signature(pipeline.complete_phase).parameters)
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        mirrored = [
+            (command, action.dest, action.default)
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions
+            if action.dest in names
+        ]
+        assert {"low_threshold", "dimension", "sim_threshold", "threshold"} <= {m[1] for m in mirrored}
+        assert [m for m in mirrored if m[2] is not None] == []
 
     def test_missing_report_dir(self, tmp_path):
         assert cli_main(["report", "--run-dir", str(tmp_path)]) == 1

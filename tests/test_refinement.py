@@ -342,7 +342,7 @@ class TestImplausibleLinks:
         kg = self._typed_graph()
         odd = st_triple("p0", "sameAs", "book", 0.8)
         kg.add(odd)
-        flagged = implausible_links(kg, None, RefineConfig())
+        flagged = implausible_links(kg, None)
         assert [f.statement.triple for f in flagged] == [odd.triple]
         assert flagged[0].count == 1
 
@@ -350,14 +350,14 @@ class TestImplausibleLinks:
         kg = KnowledgeGraph()
         for i in range(20):
             kg.add(st_triple(f"s{i}", f"p{i}", f"o{i}", 0.8))
-        assert implausible_links(kg, None, RefineConfig()) == []
+        assert implausible_links(kg, None) == []
 
     def test_planted_rare_combos_exactly_flagged(self):
         kg = self._typed_graph()
         planted = [st_triple(f"p{i}", "sameAs", "book", 0.8) for i in range(1)]
         for st_ in planted:
             kg.add(st_)
-        flagged = implausible_links(kg, None, RefineConfig())
+        flagged = implausible_links(kg, None)
         assert {f.statement.triple for f in flagged} == {s.triple for s in planted}
 
 
