@@ -133,8 +133,8 @@ def is_sentence(text: str, cfg: CleanConfig = CleanConfig()) -> bool:
     words = text.split()
     if len(words) < cfg.min_words:
         return False
-    nonspace = sum(1 for c in text if not c.isspace())
-    alpha = sum(1 for c in text if c.isalpha())
+    nonspace = len(text) - sum(map(str.isspace, text))
+    alpha = sum(map(str.isalpha, text))
     if nonspace == 0 or alpha / nonspace < MIN_ALPHA_RATIO:
         return False
     if not _ends_sentence(text) and len(words) <= LONG_TEXT_WORDS:

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import cleaning, completion, correction, pipeline, refinement
-from .model import Term
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -27,10 +26,21 @@ def _save(kg, out: str, report: dict, report_path: str | None) -> None:
         pipeline.write_json(Path(report_path), report)
 
 
-def _given(args, target) -> dict:
-    """The flags given on the command line that name parameters of
-    `target`: fields of a config class, or `complete_phase` arguments."""
-    given = {name: getattr(args, name, None) for name in inspect.signature(target).parameters}
+def _setting(convert):
+    """An argparse `type` for a setting flag: the text converted by
+    `convert`, or the text itself when it does not convert, which the
+    settings check then rejects as it rejects a config file's value."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            return text
+    return parse
+
+
+def _given(args, names) -> dict:
+    """The flags given on the command line among `names`."""
+    given = {name: getattr(args, name, None) for name in names}
     return {k: v for k, v in given.items() if v is not None}
 
 
@@ -38,7 +48,7 @@ def _config(args, section: str, cls, **list_files):
     """`cls` from the flags that name its fields, built by
     `pipeline.phase_config` as `run` builds it.  A flag named in
     `list_files` gives a file, read by the function given there."""
-    opts = _given(args, cls)
+    opts = _given(args, inspect.signature(cls).parameters)
     opts.update((k, sorted(read(Path(opts[k])))) for k, read in list_files.items() if k in opts)
     return pipeline.phase_config(section, cls, opts)
 
@@ -49,7 +59,8 @@ def _config(args, section: str, cls, **list_files):
 
 def _cmd_clean(args) -> int:
     cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.load_denylist)
-    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg, args.format)
+    fmt = pipeline.clean_format(args.format)
+    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg, fmt)
     print(f"cleaned {len(summary['files'])} files: kept {summary['total_kept']} sentences")
     return EXIT_OK
 
@@ -90,10 +101,13 @@ def _cmd_correct(args) -> int:
 
 def _cmd_complete(args) -> int:
     cfg = _config(args, "complete", completion.TrainConfig)
+    opts = _given(args, pipeline.COMPLETE_ARGS)
+    if "predict_relations" in opts:
+        opts["predict_relations"] = cleaning.read_list(Path(opts["predict_relations"]))
+    settings = pipeline.complete_args(opts)
     kg = pipeline.read_graph(Path(args.in_file))
-    relations = cleaning.read_list(Path(args.predict_relations)) if args.predict_relations else []
     kg, report = pipeline.complete_phase(
-        kg, cfg, [Term.iri(r) for r in relations], **_given(args, pipeline.complete_phase)
+        kg, cfg, **settings, train_extra=args.train_extra, model_out=args.model_out
     )
     _save(kg, args.out, report, args.metrics)
     for note in report["notes"]:
@@ -152,9 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="strip boilerplate from a document directory")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
-    p.add_argument("--format", choices=["html", "rss", "xml", "plain"])
+    p.add_argument("--format", help=f"one of {', '.join(cleaning._CLEANERS)}; "
+                   "default: each file's format from its extension")
     p.add_argument("--denylist", help="file with one denylist token per line")
-    p.add_argument("--min-words", type=int, dest="min_words")
+    p.add_argument("--min-words", type=_setting(int), dest="min_words")
     p.set_defaults(func=_cmd_clean)
 
     p = sub.add_parser("ingest", help="load scored-triple records into an N-Triples graph")
@@ -168,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--low", type=float, dest="low_threshold")
-    p.add_argument("--high", type=float, dest="band_upper")
-    p.add_argument("--lof-k", type=int, dest="lof_k")
-    p.add_argument("--lof-threshold", type=float, dest="lof_threshold")
+    p.add_argument("--low", type=_setting(float), dest="low_threshold")
+    p.add_argument("--high", type=_setting(float), dest="band_upper")
+    p.add_argument("--lof-k", type=_setting(int), dest="lof_k")
+    p.add_argument("--lof-threshold", type=_setting(float), dest="lof_threshold")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("correct", help="axiom and reference-fact error correction")
@@ -179,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axioms", required=True)
     p.add_argument("--reference")
     p.add_argument("--functional", help="file with one functional property IRI per line")
-    p.add_argument("--sim-threshold", type=float, dest="sim_threshold")
+    p.add_argument("--sim-threshold", type=_setting(float), dest="sim_threshold")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_correct)
@@ -187,18 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="train embeddings and predict missing statements")
     p.add_argument("--in", dest="in_file", required=True)
     p.add_argument("--train-extra", dest="train_extra", help="extra (h, r, t) TSV triples")
-    p.add_argument("--dim", type=int, dest="dimension")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--l2", type=float, dest="l2_lambda")
-    p.add_argument("--negatives", type=int, dest="negatives_per_positive")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--dim", type=_setting(int), dest="dimension")
+    p.add_argument("--epochs", type=_setting(int))
+    p.add_argument("--batch-size", type=_setting(int), dest="batch_size")
+    p.add_argument("--lr", type=_setting(float), dest="learning_rate")
+    p.add_argument("--l2", type=_setting(float), dest="l2_lambda")
+    p.add_argument("--negatives", type=_setting(int), dest="negatives_per_positive")
+    p.add_argument("--seed", type=_setting(int))
     p.add_argument("--predict-relations", dest="predict_relations",
                    help="file with one relation IRI per line")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--holdout", type=float, help="fraction held out for filtered-rank metrics")
+    p.add_argument("--threshold", type=_setting(float))
+    p.add_argument("--top-k", type=_setting(int), dest="top_k")
+    p.add_argument("--holdout", type=_setting(float),
+                   help="fraction in [0, 1) held out for filtered-rank metrics")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
     p.add_argument("--model-out", dest="model_out")
@@ -214,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the whole pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_setting(int))
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="summarize a finished run directory")

@@ -6,18 +6,27 @@ declarations) separately from scored data statements.  A phase never edits
 the graph it is given: it derives its output with `without` and adds only
 to the derived graph.
 
+Terms and triples are slotted, immutable objects that hash once: each
+stores its hash when it is built, with the value the field tuple would
+give, so every dict and set lookup reuses it and iteration order is that
+of hashing the fields.  The parsers intern terms, so one object stands
+for each distinct term of an input and a lookup matches it by identity
+before comparing any field.
+
 The ordered and grouped views read one index: the statements in canonical
 order, and the same statements grouped by predicate IRI and by subject,
-each group in canonical order and built on its first read.  `add` drops
-the index and the next read sorts the store again.  `without(triples)`
-derives a new graph holding every other statement; its index is this
-graph's canonical list, filtered, so a derived graph is never sorted
-again.
+each group in canonical order and built on its first read.  The store is
+sorted once, on the first read; after that `add` inserts into (or, on a
+confidence raise, replaces in) the canonical list and drops only the
+groupings.  `without(triples)` derives a new graph holding every other
+statement; its index is this graph's canonical list, filtered, so a
+derived graph is never sorted again.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -69,20 +78,25 @@ class UnknownClassError(ModelError):
     """A class IRI was not found in the ontology schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
-    """An RDF term: IRI, blank node, or literal."""
+    """An RDF term: IRI, blank node, or literal.
+
+    Its hash is computed once, as `hash((kind, value, datatype, language))`;
+    a pickled term carries only its four fields, since string hashes
+    differ between processes."""
 
     kind: str
     value: str
     datatype: str | None = None
     language: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_ORDER:
             raise ModelError(f"unknown term kind {self.kind!r}")
         if self.kind == "iri":
-            if not self.value or any(c in _IRI_FORBIDDEN for c in self.value):
+            if not self.value or not _IRI_FORBIDDEN.isdisjoint(self.value):
                 raise ModelError(f"invalid IRI {self.value!r}")
         if self.kind == "blank" and not self.value:
             raise ModelError("blank node label must be non-empty")
@@ -90,6 +104,14 @@ class Term:
             raise ModelError(f"{self.kind} terms cannot carry a datatype or language tag")
         if self.datatype and self.language:
             raise ModelError("a literal cannot have both a datatype and a language tag")
+        fields = (self.kind, self.value, self.datatype, self.language)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Term, (self.kind, self.value, self.datatype, self.language)
 
     @staticmethod
     def iri(value: str) -> "Term":
@@ -115,25 +137,34 @@ class Term:
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.language or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
-    """A (subject, predicate, object) statement."""
+    """A (subject, predicate, object) statement, hashed once as
+    `hash((subject, predicate, object))`."""
 
     subject: Term
     predicate: Term
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.subject.is_literal:
             raise ModelError("literal terms cannot appear in subject position")
         if not self.predicate.is_iri:
             raise ModelError("predicates must be IRIs")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple:
         return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredTriple:
     """A triple with a generator confidence in [0, 1]."""
 
@@ -151,10 +182,15 @@ def is_schema_triple(t: Triple) -> bool:
     return t.predicate.value in SCHEMA_PREDICATES
 
 
+def _canonical_key(st: ScoredTriple) -> tuple:
+    return st.triple.sort_key()
+
+
 class _Index:
     """The statements of a store in canonical order, and the same statements
     grouped by predicate IRI and by subject, each group in canonical order.
-    Each grouping is built on its first read; nothing changes after that."""
+    Each grouping is built on its first read; `KnowledgeGraph.add` hands the
+    updated list to a new index, so no grouping goes stale."""
 
     def __init__(self, statements: list[ScoredTriple]) -> None:
         """`statements` must already be in canonical order."""
@@ -200,11 +236,23 @@ class KnowledgeGraph:
         return self._store == other._store
 
     def add(self, st: ScoredTriple) -> None:
-        """Insert a statement; an existing copy keeps the max confidence."""
+        """Insert a statement; an existing copy keeps the max confidence.
+
+        On an indexed graph the statement goes into the canonical list at
+        its place (or replaces the copy it raises), and only the lazy
+        groupings are dropped, so the store is not sorted again."""
         old = self._store.get(st.triple)
-        if old is None or st.confidence > old.confidence:
-            self._store[st.triple] = st
-            self._idx = None
+        if old is not None and st.confidence <= old.confidence:
+            return
+        self._store[st.triple] = st
+        if self._idx is not None:
+            canonical = self._idx.statements
+            if old is None:
+                insort(canonical, st, key=_canonical_key)
+            else:
+                start = bisect_left(canonical, st.triple.sort_key(), key=_canonical_key)
+                canonical[canonical.index(old, start)] = st
+            self._idx = _Index(canonical)
 
     def add_triple(self, t: Triple, confidence: float = 1.0, source_id: str | None = None) -> None:
         self.add(ScoredTriple(t, confidence, source_id))
@@ -223,7 +271,7 @@ class KnowledgeGraph:
 
     def _index(self) -> _Index:
         if self._idx is None:
-            self._idx = _Index(sorted(self._store.values(), key=lambda st: st.triple.sort_key()))
+            self._idx = _Index(sorted(self._store.values(), key=_canonical_key))
         return self._idx
 
     def statements(self) -> list[ScoredTriple]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import cleaning, completion, consistency, correction, refinement
-from .model import KnowledgeGraph, OntologySchema, Term, ontology_from_triples
+from .model import KnowledgeGraph, ModelError, OntologySchema, Term, ontology_from_triples
 from .rdf_io import (
     parse_ntriples,
     parse_scored_jsonl,
@@ -53,8 +53,8 @@ class PhaseError(RuntimeError):
 
 
 #: complete-section keys that are `complete_phase` arguments -> PipelineConfig field
-_COMPLETE_ARGS = {"predict_relations": "predict_relations", "threshold": "predict_threshold",
-                  "top_k": "predict_top_k", "holdout": "holdout_fraction"}
+COMPLETE_ARGS = {"predict_relations": "predict_relations", "threshold": "predict_threshold",
+                 "top_k": "predict_top_k", "holdout": "holdout_fraction"}
 #: config-file section -> (its phase's config class, the PipelineConfig field
 #: holding its options, {section key that fills another field: that field})
 _SECTIONS = {
@@ -62,7 +62,7 @@ _SECTIONS = {
     "refine": (refinement.RefineConfig, "refine_options", {}),
     "correct": (correction.CorrectionConfig, "correction_options", {}),
     "complete": (completion.TrainConfig, "train_options",
-                 {**_COMPLETE_ARGS, "train_extra": "train_extra"}),
+                 {**COMPLETE_ARGS, "train_extra": "train_extra"}),
 }
 #: top-level path keys and the file each names when the config leaves it out
 _PATHS = {"scored_triples": "triples.jsonl", "reference_axioms": "axioms.ttl",
@@ -95,6 +95,32 @@ def _settings(section: str, types: dict[str, str], opts: dict) -> dict:
             raise ValidationError([f"{where} must be {what}, got {value!r}"])
         out[key] = convert(value)
     return out
+
+
+def clean_format(fmt):
+    """`fmt` if it names a cleaner in `cleaning._CLEANERS`, or None (each
+    document's format from its file extension).  Raises ValidationError."""
+    if fmt is None or (type(fmt) is str and fmt in cleaning._CLEANERS):
+        return fmt
+    raise ValidationError([f"clean: format must be one of {', '.join(cleaning._CLEANERS)}, "
+                           f"got {fmt!r}"])
+
+
+def complete_args(opts: dict) -> dict:
+    """`complete_phase`'s keyword arguments from `opts`, the complete
+    section's keys or the `complete` subcommand's flags named in
+    `COMPLETE_ARGS`: each checked and converted by `_settings`, the
+    holdout fraction range-checked, and `predict_relations` made the
+    `relations` IRIs.  Raises ValidationError."""
+    types = {f.name: f.type for f in fields(PipelineConfig)}
+    args = _settings("complete", {k: types[f] for k, f in COMPLETE_ARGS.items()}, opts)
+    if not 0.0 <= args.get("holdout", 0.0) < 1.0:
+        raise ValidationError([f"complete: holdout must be in [0, 1), got {args['holdout']}"])
+    try:
+        args["relations"] = [Term.iri(r) for r in args.pop("predict_relations", [])]
+    except ModelError as exc:
+        raise ValidationError([f"complete: predict_relations: {exc}"]) from None
+    return args
 
 
 def phase_config(section: str, cls, opts: dict, **fallback):
@@ -160,18 +186,19 @@ class PipelineConfig:
         return PipelineConfig(**given)
 
     def phase_configs(self) -> dict:
-        """Each section's config object by section name, and `complete_phase`'s
-        keyword arguments under "complete_args", every value checked and
-        converted.  Raises ValidationError with every bad section's diagnostics."""
+        """Each section's config object by section name, the checked clean
+        format under "clean_format" and `complete_phase`'s keyword arguments
+        under "complete_args", every value checked and converted.  Raises
+        ValidationError with every bad section's diagnostics."""
         types = {f.name: f.type for f in fields(self)}
         makers = {
             section: partial(phase_config, section, cls, getattr(self, options), seed=self.seed)
             for section, (cls, options, _) in _SECTIONS.items()
         }
         makers["seed"] = partial(_settings, "", {"seed": types["seed"]}, {"seed": self.seed})
+        makers["clean_format"] = partial(clean_format, self.clean_format)
         makers["complete_args"] = partial(
-            _settings, "complete", {k: types[f] for k, f in _COMPLETE_ARGS.items()},
-            {k: getattr(self, f) for k, f in _COMPLETE_ARGS.items()},
+            complete_args, {k: getattr(self, f) for k, f in COMPLETE_ARGS.items()}
         )
         built, diagnostics = {}, []
         for name, make in makers.items():
@@ -181,8 +208,6 @@ class PipelineConfig:
                 diagnostics += exc.diagnostics
         if diagnostics:
             raise ValidationError(diagnostics)
-        args = built["complete_args"]
-        args["relations"] = [Term.iri(r) for r in args.pop("predict_relations")]
         return built
 
     def canonical_dict(self) -> dict:
@@ -483,7 +508,8 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     with timed("clean"):
         report = clean_phase(
-            config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"], config.clean_format
+            config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"],
+            configs["clean_format"],
         )
         save("clean", None, report, files=len(report["files"]),
              kept=report["total_kept"], dropped=report["total_dropped"])

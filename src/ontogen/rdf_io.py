@@ -3,6 +3,11 @@ line-delimited scored-triple ingestion format, and DOT export.
 
 Parsers never raise on malformed content; bad lines become diagnostics and
 are skipped.  The one hard error is input that does not decode as UTF-8.
+
+Each parse call interns its terms: every distinct (kind, value, datatype,
+language) becomes one `Term`, shared by all the statements that use it.
+`serialize_ntriples` renders each distinct term once per call, and a
+literal with nothing to escape is written as it is.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ _NT_LINE = re.compile(
 )
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+#: a character `_escape_char` changes
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
@@ -53,6 +60,8 @@ def _escape_char(c: str) -> str:
 
 
 def _escape_literal(value: str) -> str:
+    if _NEEDS_ESCAPE.search(value) is None:
+        return value
     return "".join(_escape_char(c) for c in value)
 
 
@@ -115,6 +124,22 @@ def parse_term(text: str) -> Term:
     raise ParseError(f"cannot parse term {text!r}")
 
 
+def _interner():
+    """A `Term` constructor that returns one shared term per distinct
+    (kind, value, datatype, language) over all its calls."""
+    terms: dict[tuple, Term] = {}
+
+    def term(kind: str, value: str, datatype: str | None = None,
+             language: str | None = None) -> Term:
+        key = (kind, value, datatype, language)
+        t = terms.get(key)
+        if t is None:
+            t = terms[key] = Term(kind, value, datatype, language)
+        return t
+
+    return term
+
+
 def _decode(data: bytes, what: str) -> str:
     try:
         return data.decode("utf-8")
@@ -127,6 +152,7 @@ def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     text = _decode(data, "N-Triples input")
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
+    term = _interner()
     # split on newlines only: exotic Unicode separators may occur inside literals
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -139,14 +165,14 @@ def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
             continue
         s_iri, s_blank, p_iri, o_iri, o_blank, o_lit, o_dt, o_lang = m.groups()
         try:
-            subject = Term.iri(s_iri) if s_iri is not None else Term.blank(s_blank)
-            predicate = Term.iri(p_iri)
+            subject = term("iri", s_iri) if s_iri is not None else term("blank", s_blank)
+            predicate = term("iri", p_iri)
             if o_iri is not None:
-                obj = Term.iri(o_iri)
+                obj = term("iri", o_iri)
             elif o_blank is not None:
-                obj = Term.blank(o_blank)
+                obj = term("blank", o_blank)
             else:
-                obj = Term.literal(_unescape_literal(o_lit), o_dt, o_lang)
+                obj = term("literal", _unescape_literal(o_lit), o_dt, o_lang)
             triples.append(Triple(subject, predicate, obj))
         except (ModelError, ParseError) as exc:
             diagnostics.append(Diagnostic(lineno, str(exc)))
@@ -154,13 +180,17 @@ def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> bytes:
-    """Deterministic N-Triples: unique triples sorted by rendered (s, p, o)."""
-    lines = sorted(
-        {
-            (render_term(t.subject), render_term(t.predicate), render_term(t.object))
-            for t in triples
-        }
-    )
+    """Deterministic N-Triples: unique triples sorted by rendered (s, p, o),
+    each distinct term rendered once."""
+    rendered: dict[Term, str] = {}
+
+    def render(t: Term) -> str:
+        text = rendered.get(t)
+        if text is None:
+            text = rendered[t] = render_term(t)
+        return text
+
+    lines = sorted({(render(t.subject), render(t.predicate), render(t.object)) for t in triples})
     return "".join(f"{s} {p} {o} .\n" for s, p, o in lines).encode("utf-8")
 
 
@@ -222,21 +252,23 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
     pending: list[tuple[int, str]] = []
+    term = _interner()
 
     def expand(token: str, lineno: int) -> Term | None:
         if token == "a":
-            return Term.iri(RDF_TYPE)
+            return term("iri", RDF_TYPE)
         if token.startswith("<"):
-            return Term.iri(token[1:-1])
+            return term("iri", token[1:-1])
         if token.startswith('"'):
-            return parse_term(token)
+            lit = parse_term(token)
+            return term("literal", lit.value, lit.datatype, lit.language)
         m = _PNAME_RE.match(token)
         if m:
             prefix = m.group(1) or ""
             if prefix not in prefixes:
                 diagnostics.append(Diagnostic(lineno, f"unknown prefix {prefix!r}:"))
                 return None
-            return Term.iri(prefixes[prefix] + m.group(2))
+            return term("iri", prefixes[prefix] + m.group(2))
         diagnostics.append(Diagnostic(lineno, f"cannot interpret token {token!r}"))
         return None
 
@@ -303,6 +335,7 @@ def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic
     text = _decode(data, "scored-triple input")
     out: list[ScoredTriple] = []
     diagnostics: list[Diagnostic] = []
+    term = _interner()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -327,9 +360,9 @@ def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic
             continue
         try:
             s = str(rec["s"])
-            subject = Term.blank(s[2:]) if s.startswith("_:") else Term.iri(s)
-            predicate = Term.iri(str(rec["p"]))
-            obj = Term.iri(str(rec["o"])) if rec["o_kind"] == "iri" else Term.literal(str(rec["o"]))
+            subject = term("blank", s[2:]) if s.startswith("_:") else term("iri", s)
+            predicate = term("iri", str(rec["p"]))
+            obj = term(rec["o_kind"], str(rec["o"]))
             out.append(
                 ScoredTriple(Triple(subject, predicate, obj), float(conf), rec.get("id"))
             )

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ontogen.cleaning import (
     CleanConfig,
@@ -64,6 +65,13 @@ class TestIsSentence:
     def test_deterministic(self):
         text = "The filing shows spending increased this year."
         assert is_sentence(text) == is_sentence(text)
+
+    @given(st.text(alphabet=st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                      st.sampled_from("\xa0\u2028\u2029\x85\u3000 \t\nAé9.")),
+                   max_size=60))
+    def test_character_counts_equal_the_per_character_loops(self, text):
+        assert len(text) - sum(map(str.isspace, text)) == sum(1 for c in text if not c.isspace())
+        assert sum(map(str.isalpha, text)) == sum(1 for c in text if c.isalpha())
 
 
 class TestStripAdContainers:

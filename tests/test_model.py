@@ -1,6 +1,13 @@
+import os
+import pickle
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ontogen import model
 from ontogen.model import (
     OWL_CLASS,
     RDFS_CLASS,
@@ -41,6 +48,40 @@ class TestTerm:
         assert Term.literal("1", datatype="urn:int") != Term.literal("1")
         assert Term.literal("a", language="en") != Term.literal("a", language="de")
         assert Term.literal("a") == Term.literal("a")
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # the stored hash is the one the fields would give, so set and
+        # dict iteration order (and every artifact) is that of hashing them
+        terms = [iri("a"), Term.blank("b"), Term.literal("1", datatype="urn:int"),
+                 Term.literal("a", language="en"), Term.literal("")]
+        for t in terms:
+            assert hash(t) == hash((t.kind, t.value, t.datatype, t.language))
+        t = Triple(iri("s"), iri("p"), Term.literal("o", language="en"))
+        assert hash(t) == hash((t.subject, t.predicate, t.object))
+
+    def test_stored_hash_is_not_in_repr_or_equality(self):
+        a, b = iri("a"), iri("a")
+        object.__setattr__(b, "_hash", hash(a) + 1)
+        assert a == b
+        s, t = Triple(a, a, a), Triple(a, a, a)
+        object.__setattr__(t, "_hash", hash(s) + 1)
+        assert s == t
+        assert "_hash" not in repr(s) and "_hash" not in repr(a)
+
+    def test_unpickled_terms_hash_as_their_fields_in_another_process(self):
+        # string hashes differ between processes: a pickle must not carry one
+        t = Triple(iri("s"), iri("p"), Term.literal("o", language="en"))
+        code = (
+            "import pickle, sys\n"
+            "t = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(hash(t) == hash((t.subject, t.predicate, t.object))"
+            " and hash(t.object) == hash(('literal', 'o', None, 'en')))"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(t),
+                             capture_output=True, env=env, check=True)
+        assert out.stdout.strip() == b"True"
+        assert pickle.loads(pickle.dumps(t)) == t
 
     def test_literal_cannot_have_datatype_and_language(self):
         with pytest.raises(ModelError):
@@ -277,6 +318,45 @@ def _all_views(kg: KnowledgeGraph) -> tuple:
         [kg.with_predicate(p.value) for p in _PREDICATES],
         [kg.about(e) for e in _OBJECTS if not e.is_literal],
     )
+
+
+class TestAddKeepsTheCanonicalOrder:
+    """Adds to an indexed graph, derived by `without`, insert into its
+    canonical list: the statements equal the store sorted from scratch, and
+    the graph is never sorted again."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_without_then_add_matches_a_fresh_sort(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        nodes = [iri(f"n{i}") for i in range(30)] + [Term.blank(f"b{i}") for i in range(5)]
+        objects = nodes + [Term.literal(f"v{i}") for i in range(5)]
+        predicates = [iri(f"p{i}") for i in range(4)] + [Term.iri(RDF_TYPE)]
+
+        def random_triple() -> Triple:
+            return Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(objects))
+
+        kg = KnowledgeGraph()
+        for _ in range(300):
+            kg.add(ScoredTriple(random_triple(), rng.choice([0.2, 0.5, 0.8])))
+        kg.statements()
+        derived = kg.without(rng.sample(kg.triples(), 60) + [random_triple() for _ in range(5)])
+        expected = {s.triple: s for s in derived.statements()}
+
+        sorts = []
+        monkeypatch.setattr(model, "sorted", lambda *a, **kw: sorts.append(1) or sorted(*a, **kw),
+                            raising=False)
+        for _ in range(150):
+            t = rng.choice(list(expected)) if rng.random() < 0.4 else random_triple()
+            st_ = ScoredTriple(t, rng.choice([0.1, 0.6, 0.9, 1.0]), rng.choice([None, "x"]))
+            derived.add(st_)
+            if t not in expected or st_.confidence > expected[t].confidence:
+                expected[t] = st_
+            if rng.random() < 0.1:
+                derived.with_predicate(RDF_TYPE)  # groupings are rebuilt after a later add
+        got = derived.statements()
+        assert sorts == []
+        assert got == sorted(expected.values(), key=lambda s: s.triple.sort_key())
+        assert _all_views(derived) == _brute_views(expected)
 
 
 class TestIndexOracle:

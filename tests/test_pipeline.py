@@ -66,6 +66,33 @@ MALFORMED_SETTINGS = [
     pytest.param("complete", lambda src, tmp: [
         "complete", "--in", _kinship_nt(tmp), "--dim", "0", "--out", str(tmp / "out" / "kg.nt"),
     ], id="complete-flag-dim-0"),
+    # a flag value of the wrong type is the same failure as one out of range
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--dim", "abc", "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-int-abc"),
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--lr", "fast", "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-float-fast"),
+    pytest.param("refine", lambda src, tmp: [
+        "refine", "--in", str(src / "triples.jsonl"), "--out", str(tmp / "out" / "kg.nt"),
+        "--report", str(tmp / "out" / "refine.json"), "--lof-k", "2.5",
+    ], id="refine-flag-int-2.5"),
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {"holdout": 1.5}),
+                 id="holdout-above-range"),
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {"holdout": -0.1}),
+                 id="holdout-negative"),
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--holdout", "1.5",
+        "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-holdout-1.5"),
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {
+        "predict_relations": ["http://example.org/not an iri"]}), id="predict-relations-bad-iri"),
+    pytest.param("clean", lambda src, tmp: _run_with(src, tmp, "clean", {"format": "pdf"}),
+                 id="clean-format-pdf"),
+    pytest.param("clean", lambda src, tmp: [
+        "clean", "--in", str(src / "corpus"), "--out", str(tmp / "out" / "cleaned"),
+        "--format", "pdf",
+    ], id="clean-flag-format-pdf"),
 ]
 
 

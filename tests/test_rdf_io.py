@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from ontogen.model import KnowledgeGraph, ScoredTriple, Term, Triple
 from ontogen.rdf_io import (
+    _NEEDS_ESCAPE,
+    _escape_char,
+    _escape_literal,
     Diagnostic,
     ParseError,
     export_dot,
@@ -121,6 +124,56 @@ class TestTerms:
     def test_parse_term_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_term("not a term")
+
+
+class TestEscape:
+    @given(st.text(alphabet=st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                      st.sampled_from('\\"\n\r\t\x00\x1f\x7f\x85\u2028\u2029')),
+                   max_size=40))
+    def test_fast_path_equals_the_per_character_escape(self, value):
+        assert _escape_literal(value) == "".join(_escape_char(c) for c in value)
+
+    def test_regex_finds_exactly_the_characters_that_change(self):
+        changed = [c for c in map(chr, range(0x110000)) if _escape_char(c) != c]
+        assert [c for c in map(chr, range(0x110000)) if _NEEDS_ESCAPE.search(c)] == changed
+
+
+class TestInterning:
+    """Each parse call builds one term object per distinct term."""
+
+    def test_ntriples(self):
+        (a, b, c), diags = parse_ntriples(
+            b'<http://e/s> <http://e/p> "v"@en .\n'
+            b"<http://e/s> <http://e/p> _:x .\n"
+            b'_:x <http://e/p> "v"@en .\n'
+        )
+        assert not diags
+        assert a.subject is b.subject and a.predicate is b.predicate is c.predicate
+        assert b.object is c.subject and a.object is c.object
+
+    def test_turtle(self):
+        (a, b), diags = parse_turtle(
+            b"@prefix e: <http://e/> .\n"
+            b'e:s a e:C .\n<http://e/C> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "v" .\n'
+        )
+        assert not diags
+        assert a.predicate is b.predicate and a.object is b.subject
+
+    def test_scored_jsonl(self):
+        records = [
+            {"s": "http://e/s", "p": "http://e/p", "o": "http://e/o", "o_kind": "iri", "conf": 0.5},
+            {"s": "http://e/o", "p": "http://e/p", "o": "http://e/o", "o_kind": "literal",
+             "conf": 0.5},
+            {"s": "http://e/s", "p": "http://e/p", "o": "http://e/o", "o_kind": "literal",
+             "conf": 0.9},
+        ]
+        data = "\n".join(json.dumps(r) for r in records).encode("utf-8")
+        (a, b, c), diags = parse_scored_jsonl(data)
+        assert not diags
+        a, b, c = a.triple, b.triple, c.triple
+        assert a.subject is c.subject and a.object is b.subject and b.object is c.object
+        assert a.predicate is b.predicate is c.predicate
+        assert a.object != b.object  # an IRI and a literal of one value are two terms
 
 
 class TestTurtle:
