@@ -3,19 +3,23 @@ line-delimited scored-triple ingestion format, and DOT export.
 
 Parsers never raise on malformed content; bad lines become diagnostics and
 are skipped.  The one hard error is input that does not decode as UTF-8.
+Every reader frames its input the same way: lines end at "\n" (one "\r"
+before it is dropped), and are decoded one at a time, so a Unicode line
+separator inside a literal or JSON string stays part of its line.
 
 Each parse call interns its terms: every distinct (kind, value, datatype,
 language) becomes one `Term`, shared by all the statements that use it.
-`serialize_ntriples` renders each distinct term once per call, and a
-literal with nothing to escape is written as it is.
+`serialize_ntriples` renders and encodes each distinct term once per call,
+and a literal with nothing to escape is written as it is.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import KnowledgeGraph, ModelError, ScoredTriple, Term, Triple, RDF_TYPE
 
@@ -147,15 +151,26 @@ def _decode(data: bytes, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
+def _lines(data: bytes, what: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of `data`: split on b"\n" only, one trailing "\r"
+    dropped, each decoded as UTF-8 on its own.  Undecodable input raises the
+    `_decode` error for all of `data`, so its offset counts from the start."""
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            _decode(data, what)
+            raise
+        yield lineno, line.removesuffix("\n").removesuffix("\r")
+
+
 def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     """Parse the N-Triples subset; invalid lines become diagnostics."""
-    text = _decode(data, "N-Triples input")
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
     term = _interner()
-    # split on newlines only: exotic Unicode separators may occur inside literals
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
+    for lineno, line in _lines(data, "N-Triples input"):
+        line = line.rstrip("\r")  # an N-Triples line end is any run of \r and \n
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -181,17 +196,24 @@ def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
 
 def serialize_ntriples(triples: Iterable[Triple]) -> bytes:
     """Deterministic N-Triples: unique triples sorted by rendered (s, p, o),
-    each distinct term rendered once."""
-    rendered: dict[Term, str] = {}
+    each distinct term rendered and UTF-8 encoded once.
 
-    def render(t: Term) -> str:
-        text = rendered.get(t)
-        if text is None:
-            text = rendered[t] = render_term(t)
-        return text
+    The byte tuples sort as their text would (UTF-8 byte order is code
+    point order), and the lines are written straight into one buffer.
+    """
+    encoded: dict[Term, bytes] = {}
 
-    lines = sorted({(render(t.subject), render(t.predicate), render(t.object)) for t in triples})
-    return "".join(f"{s} {p} {o} .\n" for s, p, o in lines).encode("utf-8")
+    def encode(t: Term) -> bytes:
+        raw = encoded.get(t)
+        if raw is None:
+            raw = encoded[t] = render_term(t).encode("utf-8")
+        return raw
+
+    lines = sorted({(encode(t.subject), encode(t.predicate), encode(t.object)) for t in triples})
+    out = io.BytesIO()
+    for line in lines:
+        out.write(b"%s %s %s .\n" % line)
+    return out.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +269,6 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
 
     Prefixed names are expanded at parse time; `a` abbreviates rdf:type.
     """
-    text = _decode(data, "Turtle input")
     prefixes: dict[str, str] = {}
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
@@ -291,7 +312,7 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
         except ModelError as exc:
             diagnostics.append(Diagnostic(first_line, str(exc)))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(data, "Turtle input"):
         line = _strip_ttl_comment(raw).strip()
         if not line:
             continue
@@ -332,11 +353,10 @@ def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic
     Subjects starting with `_:` are read as blank nodes.  Records with a
     confidence outside [0, 1] are skipped with a diagnostic.
     """
-    text = _decode(data, "scored-triple input")
     out: list[ScoredTriple] = []
     diagnostics: list[Diagnostic] = []
     term = _interner()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _lines(data, "scored-triple input"):
         if not line.strip():
             continue
         try:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,23 @@ def pipeline_run(pipeline_config_path: Path):
     config = pipeline.PipelineConfig.from_file(pipeline_config_path)
     result = pipeline.run(config)
     return config, result
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn, *args)` calls fn(*args) under tracemalloc and returns
+    (result, peak, held): the call's peak and the memory it still holds at
+    return (its result), both in bytes above the heap traced at its start."""
+
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - start, held - start
+
+    return measure

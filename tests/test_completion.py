@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fixture_factory as ff
 from ontogen.completion import (
@@ -174,6 +174,7 @@ class TestLossAndGradient:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(8065381)  # a 3-point difference at h = 1e-5 misses by 2.3e-4 here, from rounding
     def test_gradients_match_central_differences(self, seed):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 9))
@@ -189,19 +190,25 @@ class TestLossAndGradient:
             for _ in range(8)
         ]
         _, grads = loss_and_gradient(m, batch, cfg)
-        h = 1e-5
+        # fourth-order five-point stencil: its truncation error at this step
+        # stays far below the rounding noise a smaller step would bring
+        h = 2e-3
+
+        def loss_at(arr, i, j, x):
+            arr[i, j] = x
+            return loss_and_gradient(m, batch, cfg)[0]
+
         for name in ("entity_re", "entity_im", "relation_re", "relation_im"):
             arr = getattr(m, name)
             analytic = getattr(grads, name)
             for i in range(arr.shape[0]):
                 for j in range(arr.shape[1]):
                     orig = arr[i, j]
-                    arr[i, j] = orig + h
-                    lp, _ = loss_and_gradient(m, batch, cfg)
-                    arr[i, j] = orig - h
-                    lm, _ = loss_and_gradient(m, batch, cfg)
+                    fd = (
+                        loss_at(arr, i, j, orig - 2 * h) - 8 * loss_at(arr, i, j, orig - h)
+                        + 8 * loss_at(arr, i, j, orig + h) - loss_at(arr, i, j, orig + 2 * h)
+                    ) / (12 * h)
                     arr[i, j] = orig
-                    fd = (lp - lm) / (2 * h)
                     denom = max(abs(fd), abs(analytic[i, j]), 1e-8)
                     assert abs(fd - analytic[i, j]) / denom < 1e-4
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontogen.model import KnowledgeGraph, ScoredTriple, Term, Triple
 from ontogen.rdf_io import (
@@ -44,6 +44,49 @@ triples = st.builds(
     object=st.one_of(iris, blanks, literals),
 )
 triple_sets = st.lists(triples, max_size=40).map(set)
+
+#: every character the writer escapes, plus non-ASCII and astral ones
+wide_chars = st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from('\\"\n\r\t\x00\x1f\x7f\x85\u2028\u2029é中\uffff\U00010000\U0001f600\U0010fffd'),
+)
+wide_iris = st.text(
+    alphabet=wide_chars.filter(lambda c: c not in ' \t\n\r\f\v<>"'), max_size=6
+).map(lambda s: Term.iri("urn:" + s))
+wide_literals = st.one_of(
+    st.text(alphabet=wide_chars, max_size=10).map(Term.literal),
+    st.tuples(st.text(alphabet=wide_chars, max_size=10), iri_values).map(
+        lambda t: Term.literal(t[0], datatype=t[1])
+    ),
+    st.tuples(st.text(alphabet=wide_chars, max_size=10), lang_tags).map(
+        lambda t: Term.literal(t[0], language=t[1])
+    ),
+)
+wide_triples = st.builds(
+    Triple,
+    subject=st.one_of(wide_iris, blanks),
+    predicate=wide_iris,
+    object=st.one_of(wide_iris, blanks, wide_literals),
+)
+
+
+def str_serialize_ntriples(triples) -> bytes:
+    """The str-based writer `serialize_ntriples` replaced, as its oracle:
+    sort the rendered str tuples, join the lines, then encode."""
+    rendered: dict[Term, str] = {}
+
+    def render(t: Term) -> str:
+        text = rendered.get(t)
+        if text is None:
+            text = rendered[t] = render_term(t)
+        return text
+
+    lines = sorted({(render(t.subject), render(t.predicate), render(t.object)) for t in triples})
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in lines).encode("utf-8")
+
+
+def iri_triple(s: str, p: str, o: Term) -> Triple:
+    return Triple(Term.iri(s), Term.iri(p), o)
 
 
 class TestNTriples:
@@ -106,6 +149,16 @@ class TestNTriples:
         parsed, diags = parse_ntriples(serialize_ntriples(ts))
         assert not diags
         assert set(parsed) == ts
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(wide_triples, max_size=30).map(lambda ts: ts + ts[::2]))
+    # subjects whose UTF-16 order differs from their code-point order
+    @example([iri_triple(s, "urn:p", Term.literal(v)) for s, v in [
+        ("urn:a\uffff", "x"), ("urn:a\U00010000", "x\u2028"), ("urn:a", "é"), ("urn:a", "\x85"),
+        ("urn:ab", "\U0001f600"), ("urn:a\uffff", "x"),
+    ]])
+    def test_equals_the_str_writer(self, ts):
+        assert serialize_ntriples(ts) == str_serialize_ntriples(ts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(max_size=60), max_size=30))
@@ -260,6 +313,87 @@ class TestScoredJsonl:
         assert {(s.triple, s.confidence, s.source_id) for s in parsed} == {
             (s.triple, s.confidence, s.source_id) for s in sts
         }
+
+
+class TestLineFraming:
+    """Every reader ends a line at "\\n" only, dropping one "\\r" before it."""
+
+    def test_jsonl_strings_keep_unicode_line_separators(self):
+        recs = [
+            {"s": "urn:a", "p": "urn:p", "o": "one\u2028two", "o_kind": "literal", "conf": 0.5},
+            {"s": "urn:b", "p": "urn:p", "o": "urn:c", "o_kind": "iri", "conf": 0.5},
+            {"s": "urn:c", "p": "urn:p", "o": "x\x85y", "o_kind": "literal", "conf": 0.5},
+        ]
+        data = ("\n".join(json.dumps(r, ensure_ascii=False) for r in recs) + "\nnot json\n").encode()
+        parsed, diags = parse_scored_jsonl(data)
+        assert [st.triple.object.value for st in parsed] == ["one\u2028two", "urn:c", "x\x85y"]
+        assert diags == [Diagnostic(4, "invalid JSON: Expecting value")]
+
+    def test_jsonl_crlf_ends_a_line_and_a_lone_cr_does_not(self):
+        rec = json.dumps({"s": "urn:a", "p": "urn:p", "o": "urn:c", "o_kind": "iri", "conf": 0.5})
+        data = f"{rec}\r\n{rec}\r{rec}\r\nnot json\r\n".encode()
+        parsed, diags = parse_scored_jsonl(data)
+        assert len(parsed) == 1
+        assert [d.line for d in diags] == [2, 3]
+
+    def test_turtle_literals_keep_unicode_line_separators(self):
+        data = (
+            '@prefix ex: <urn:ex:> .\r\n'
+            'ex:a ex:p "one\u2028two\x85three" .\n'
+            "ex:b ex:p ex:c .\n"
+            "ex:d ex:p .\n"
+        ).encode()
+        parsed, diags = parse_turtle(data)
+        assert parsed == [
+            iri_triple("urn:ex:a", "urn:ex:p", Term.literal("one\u2028two\x85three")),
+            iri_triple("urn:ex:b", "urn:ex:p", Term.iri("urn:ex:c")),
+        ]
+        assert diags == [Diagnostic(4, "expected 3 terms per statement, got 2")]
+
+    @pytest.mark.parametrize("parse, what", [
+        (parse_ntriples, "N-Triples input"),
+        (parse_turtle, "Turtle input"),
+        (parse_scored_jsonl, "scored-triple input"),
+    ])
+    # a bad lead byte, a sequence cut short by the line end, an encoded surrogate
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xed\xa0\x80"])
+    def test_undecodable_line_raises_the_whole_input_error(self, parse, what, bad):
+        data = b"# one\n# two\n# x" + bad + b"\n# after\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(ParseError) as err:
+            parse(data)
+        assert str(err.value) == f"{what} is not valid UTF-8: {whole.value}"
+
+
+class TestScratchMemory:
+    """A call's transient memory, above what it returns, holds no copy of
+    the whole input and no second copy of the output."""
+
+    def test_jsonl_reader_holds_no_decoded_copy(self, traced_peak):
+        # the decoded text and its line list took about 2.8x the input
+        recs = (
+            {"s": f"http://example.org/company/C{i // 15:05d}", "p": f"http://example.org/prop/p{i % 12}",
+             "o": f"http://example.org/place/L{i % 400}" if i % 2 else f"label {i}",
+             "o_kind": "iri" if i % 2 else "literal", "conf": (i % 100) / 100, "id": f"r{i:05d}"}
+            for i in range(20_000)
+        )
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in recs).encode()
+        (parsed, diags), peak, held = traced_peak(parse_scored_jsonl, data)
+        assert len(parsed) == 20_000 and not diags
+        assert peak - held < len(data) // 2  # 0.41x measured
+
+    def test_ntriples_writer_below_the_str_writer(self, traced_peak):
+        # the str writer's f-string list, joined str and encoded copy took
+        # about 3.6x its output; the byte writer 1.7x
+        ts = [
+            iri_triple(f"http://example.org/company/C{i // 15:05d}", f"http://example.org/prop/p{i % 12}",
+                       Term.iri(f"http://example.org/place/L{i % 400}") if i % 2 else Term.literal(f"label {i} é\n"))
+            for i in range(20_000)
+        ]
+        out, peak, held = traced_peak(serialize_ntriples, ts)
+        assert out == str_serialize_ntriples(ts)
+        assert peak - held < 2.5 * len(out)
 
 
 class TestDot:

@@ -189,6 +189,15 @@ class TestLofScores:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_memory_one_block_and_one_strip(self, traced_peak):
+        # continuous points have no ties, so n * k neighbor pairs; n spans
+        # ten blocks, each of which held about three block-sized arrays
+        n, k = 2512, 5
+        pts = np.random.default_rng(4).uniform(0, 1, (n, 5))
+        assert _block_rows(n) < n
+        _, peak, _ = traced_peak(lof_scores, pts, k)
+        assert peak < refinement.LOF_BLOCK_BYTES + refinement.LOF_STRIP_BYTES + 64 * (n + n * k)
+
     def test_uniform_hypercube_median_near_one(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, (500, 3))
