@@ -76,6 +76,12 @@ def _bundled_verbs() -> frozenset[str]:
 class CleanConfig:
     min_words: int = 4
     denylist: frozenset[str] = DEFAULT_DENYLIST
+    #: a key of `_CLEANERS` for every document, or None: each from its extension
+    format: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.format is not None and self.format not in _CLEANERS:
+            raise CleanError(f"format must be one of {', '.join(_CLEANERS)}, got {self.format!r}")
 
 
 _FORMAT_BY_EXT = {
@@ -93,8 +99,8 @@ class RawDocument:
     origin: str
 
     @staticmethod
-    def from_path(path: Path, format_override: str | None = None) -> "RawDocument":
-        fmt = format_override or _FORMAT_BY_EXT.get(path.suffix.lower(), "plain")
+    def from_path(path: Path, fmt: str | None = None) -> "RawDocument":
+        fmt = fmt or _FORMAT_BY_EXT.get(path.suffix.lower(), "plain")
         return RawDocument(path.read_bytes(), fmt, str(path))
 
 
@@ -333,18 +339,14 @@ def clean(doc: RawDocument, cfg: CleanConfig = CleanConfig()) -> CleanDocument:
     return CleanDocument(kept, doc.origin, dropped + len(segments) - len(kept))
 
 
-def clean_directory(
-    in_dir: Path,
-    out_dir: Path,
-    cfg: CleanConfig = CleanConfig(),
-    format_override: str | None = None,
-) -> dict:
-    """Clean every file in a directory, writing one .txt per input plus a
-    JSON summary of kept/dropped counts."""
+def clean_directory(in_dir: Path, out_dir: Path, cfg: CleanConfig = CleanConfig()) -> dict:
+    """Clean every file in a directory, each as `cfg.format` or by its
+    extension, writing one .txt per input plus a JSON summary of
+    kept/dropped counts."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"files": {}, "total_kept": 0, "total_dropped": 0}
     for path in sorted(p for p in in_dir.iterdir() if p.is_file()):
-        doc = RawDocument.from_path(path, format_override)
+        doc = RawDocument.from_path(path, cfg.format)
         result = clean(doc, cfg)
         (out_dir / (path.stem + ".txt")).write_text(
             "".join(s + "\n" for s in result.sentences), encoding="utf-8"

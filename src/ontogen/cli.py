@@ -38,17 +38,12 @@ def _setting(convert):
     return parse
 
 
-def _given(args, names) -> dict:
-    """The flags given on the command line among `names`."""
-    given = {name: getattr(args, name, None) for name in names}
-    return {k: v for k, v in given.items() if v is not None}
-
-
 def _config(args, section: str, cls, **list_files):
-    """`cls` from the flags that name its fields, built by
+    """`cls` from the flags given that name its fields, built by
     `pipeline.phase_config` as `run` builds it.  A flag named in
     `list_files` gives a file, read by the function given there."""
-    opts = _given(args, inspect.signature(cls).parameters)
+    given = {name: getattr(args, name, None) for name in inspect.signature(cls).parameters}
+    opts = {k: v for k, v in given.items() if v is not None}
     opts.update((k, sorted(read(Path(opts[k])))) for k, read in list_files.items() if k in opts)
     return pipeline.phase_config(section, cls, opts)
 
@@ -59,8 +54,7 @@ def _config(args, section: str, cls, **list_files):
 
 def _cmd_clean(args) -> int:
     cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.load_denylist)
-    fmt = pipeline.clean_format(args.format)
-    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg, fmt)
+    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg)
     print(f"cleaned {len(summary['files'])} files: kept {summary['total_kept']} sentences")
     return EXIT_OK
 
@@ -100,15 +94,9 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    cfg = _config(args, "complete", completion.TrainConfig)
-    opts = _given(args, pipeline.COMPLETE_ARGS)
-    if "predict_relations" in opts:
-        opts["predict_relations"] = cleaning.read_list(Path(opts["predict_relations"]))
-    settings = pipeline.complete_args(opts)
+    cfg = _config(args, "complete", completion.TrainConfig, predict_relations=cleaning.read_list)
     kg = pipeline.read_graph(Path(args.in_file))
-    kg, report = pipeline.complete_phase(
-        kg, cfg, **settings, train_extra=args.train_extra, model_out=args.model_out
-    )
+    kg, report = pipeline.complete_phase(kg, cfg, args.train_extra, model_out=args.model_out)
     _save(kg, args.out, report, args.metrics)
     for note in report["notes"]:
         print(note, file=sys.stderr)

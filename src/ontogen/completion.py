@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import terms_agree
-from .model import KnowledgeGraph, META_CLASSES, ScoredTriple, Term, Triple, is_schema_triple
+from .model import (
+    KnowledgeGraph, META_CLASSES, ModelError, ScoredTriple, Term, Triple, is_schema_triple,
+)
 from .rdf_io import parse_term, render_term
 
 _ADAGRAD_EPS = 1e-10
@@ -42,12 +44,27 @@ class TrainConfig:
     seed: int = 42
     #: pin relation imaginary parts to zero (symmetric control model)
     real_relations: bool = False
+    #: relation IRIs whose missing objects `complete_phase` predicts
+    predict_relations: frozenset[str] = frozenset()
+    #: a prediction's confidence must exceed `threshold`; at most `top_k` are
+    #: kept per subject and relation
+    threshold: float = 0.5
+    top_k: int = 1
+    #: fraction of the training pool held out and ranked, in [0, 1)
+    holdout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dimension <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise CompletionError("dimension, epochs, and batch_size must be positive")
         if self.learning_rate <= 0 or self.l2_lambda < 0 or self.negatives_per_positive <= 0:
             raise CompletionError("learning_rate and negatives must be positive, l2 non-negative")
+        if not 0.0 <= self.holdout < 1.0:
+            raise CompletionError(f"holdout must be in [0, 1), got {self.holdout}")
+        try:
+            for r in self.predict_relations:
+                Term.iri(r)
+        except ModelError as exc:
+            raise CompletionError(f"predict_relations: {exc}") from None
 
 
 @dataclass

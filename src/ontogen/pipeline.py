@@ -12,13 +12,13 @@ import hashlib
 import json
 import time
 from functools import partial
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from . import cleaning, completion, consistency, correction, refinement
-from .model import KnowledgeGraph, ModelError, OntologySchema, Term, ontology_from_triples
+from .model import KnowledgeGraph, OntologySchema, Term, Triple, ontology_from_triples
 from .rdf_io import (
     parse_ntriples,
     parse_scored_jsonl,
@@ -52,32 +52,29 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
-#: complete-section keys that are `complete_phase` arguments -> PipelineConfig field
-COMPLETE_ARGS = {"predict_relations": "predict_relations", "threshold": "predict_threshold",
-                 "top_k": "predict_top_k", "holdout": "holdout_fraction"}
 #: config-file section -> (its phase's config class, the PipelineConfig field
-#: holding its options, {section key that fills another field: that field})
+#: holding its options); each key of a section is a field of its class,
+#: except `complete.train_extra`, a path
 _SECTIONS = {
-    "clean": (cleaning.CleanConfig, "clean_options", {"format": "clean_format"}),
-    "refine": (refinement.RefineConfig, "refine_options", {}),
-    "correct": (correction.CorrectionConfig, "correction_options", {}),
-    "complete": (completion.TrainConfig, "train_options",
-                 {**COMPLETE_ARGS, "train_extra": "train_extra"}),
+    "clean": (cleaning.CleanConfig, "clean_options"),
+    "refine": (refinement.RefineConfig, "refine_options"),
+    "correct": (correction.CorrectionConfig, "correction_options"),
+    "complete": (completion.TrainConfig, "train_options"),
 }
 #: top-level path keys and the file each names when the config leaves it out
 _PATHS = {"scored_triples": "triples.jsonl", "reference_axioms": "axioms.ttl",
           "domain_ontology": "domain.ttl", "output_dir": "out", "corpus_dir": None,
           "reference_facts": None}
 
-_STR_LIST = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
 #: annotated setting type -> (what a value must be, its check, its conversion);
 #: `type(v) is int` keeps booleans out of the numbers
 _KINDS = {
     "int": ("an integer", lambda v: type(v) is int, int),
     "float": ("a number", lambda v: type(v) in (int, float), float),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
-    "list[str]": (*_STR_LIST, list),
-    "frozenset[str]": (*_STR_LIST, frozenset),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str, lambda v: v),
+    "frozenset[str]": ("a list of strings",
+                       lambda v: type(v) is list and all(type(s) is str for s in v), frozenset),
 }
 
 
@@ -95,32 +92,6 @@ def _settings(section: str, types: dict[str, str], opts: dict) -> dict:
             raise ValidationError([f"{where} must be {what}, got {value!r}"])
         out[key] = convert(value)
     return out
-
-
-def clean_format(fmt):
-    """`fmt` if it names a cleaner in `cleaning._CLEANERS`, or None (each
-    document's format from its file extension).  Raises ValidationError."""
-    if fmt is None or (type(fmt) is str and fmt in cleaning._CLEANERS):
-        return fmt
-    raise ValidationError([f"clean: format must be one of {', '.join(cleaning._CLEANERS)}, "
-                           f"got {fmt!r}"])
-
-
-def complete_args(opts: dict) -> dict:
-    """`complete_phase`'s keyword arguments from `opts`, the complete
-    section's keys or the `complete` subcommand's flags named in
-    `COMPLETE_ARGS`: each checked and converted by `_settings`, the
-    holdout fraction range-checked, and `predict_relations` made the
-    `relations` IRIs.  Raises ValidationError."""
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    args = _settings("complete", {k: types[f] for k, f in COMPLETE_ARGS.items()}, opts)
-    if not 0.0 <= args.get("holdout", 0.0) < 1.0:
-        raise ValidationError([f"complete: holdout must be in [0, 1), got {args['holdout']}"])
-    try:
-        args["relations"] = [Term.iri(r) for r in args.pop("predict_relations", [])]
-    except ModelError as exc:
-        raise ValidationError([f"complete: predict_relations: {exc}"]) from None
-    return args
 
 
 def phase_config(section: str, cls, opts: dict, **fallback):
@@ -149,34 +120,30 @@ class PipelineConfig:
     corpus_dir: Path | None = None
     reference_facts: Path | None = None
     seed: int = completion.TrainConfig.seed
-    clean_format: str | None = None
     clean_options: dict = field(default_factory=dict)
     refine_options: dict = field(default_factory=dict)
     correction_options: dict = field(default_factory=dict)
     train_options: dict = field(default_factory=dict)
     train_extra: Path | None = None
-    predict_relations: list[str] = field(default_factory=list)
-    predict_threshold: float = 0.5
-    predict_top_k: int = 1
-    holdout_fraction: float = 0.0
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def from_file(path: Path) -> "PipelineConfig":
-        """The config a YAML file holds: each section's keys go to its
-        options or to the field `_SECTIONS` names, relative paths resolve
-        against the file's directory, and no value is converted."""
+        """The config a YAML file holds: each section's keys go to the
+        options field `_SECTIONS` names, `complete.train_extra` to its path
+        field, relative paths resolve against the file's directory, and no
+        value is converted."""
         raw = yaml.safe_load(path.read_text("utf-8")) or {}
         if not isinstance(raw, dict):
             raise ValidationError([f"{path}: config must be a mapping"])
         given = {key: raw[key] for key in ("seed", *_PATHS) if key in raw}
-        for section, (_, options, args) in _SECTIONS.items():
+        for section, (_, options) in _SECTIONS.items():
             opts = raw.get(section) or {}
             if not isinstance(opts, dict):
                 raise ValidationError([f"{section}: must be a mapping, got {opts!r}"])
-            given[options] = {k: v for k, v in opts.items() if k not in args}
-            given.update((name, opts[k]) for k, name in args.items() if k in opts)
+            given[options] = dict(opts)
+        given["train_extra"] = given["train_options"].pop("train_extra", None)
         base = path.resolve().parent
         for key, default in (*_PATHS.items(), ("train_extra", None)):
             value = default if given.get(key) is None else given[key]
@@ -186,20 +153,14 @@ class PipelineConfig:
         return PipelineConfig(**given)
 
     def phase_configs(self) -> dict:
-        """Each section's config object by section name, the checked clean
-        format under "clean_format" and `complete_phase`'s keyword arguments
-        under "complete_args", every value checked and converted.  Raises
-        ValidationError with every bad section's diagnostics."""
-        types = {f.name: f.type for f in fields(self)}
+        """Each section's config object by section name, every value
+        checked and converted.  Raises ValidationError with every bad
+        section's diagnostics."""
         makers = {
             section: partial(phase_config, section, cls, getattr(self, options), seed=self.seed)
-            for section, (cls, options, _) in _SECTIONS.items()
+            for section, (cls, options) in _SECTIONS.items()
         }
-        makers["seed"] = partial(_settings, "", {"seed": types["seed"]}, {"seed": self.seed})
-        makers["clean_format"] = partial(clean_format, self.clean_format)
-        makers["complete_args"] = partial(
-            complete_args, {k: getattr(self, f) for k, f in COMPLETE_ARGS.items()}
-        )
+        makers["seed"] = partial(_settings, "", {"seed": "int"}, {"seed": self.seed})
         built, diagnostics = {}, []
         for name, make in makers.items():
             try:
@@ -211,17 +172,16 @@ class PipelineConfig:
         return built
 
     def canonical_dict(self) -> dict:
-        """Every field as `config_hash` hashes it: paths as strings, float
-        settings as floats, and the correct section's lists sorted."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = float(value) if f.type == "float" else value
-            if isinstance(value, Path):
-                out[f.name] = str(value)
-        out["correction_options"] = {
-            k: sorted(v) if isinstance(v, list) else v for k, v in self.correction_options.items()
-        }
+        """What `config_hash` hashes: the paths as strings, the seed, and
+        each section's config object as `phase_configs` builds it, sets
+        sorted, so a default written out hashes as one left out."""
+        configs = self.phase_configs()
+        out = {key: None if getattr(self, key) is None else str(getattr(self, key))
+               for key in (*_PATHS, "train_extra")}
+        out["seed"] = configs["seed"]["seed"]
+        for section in _SECTIONS:
+            out[section] = {k: sorted(v) if isinstance(v, frozenset) else v
+                            for k, v in asdict(configs[section]).items()}
         return out
 
     def config_hash(self) -> str:
@@ -307,18 +267,13 @@ class PipelineResult:
 # the report is the phase's `reports/<phase>.json` payload.  `run` and the
 # CLI subcommands both call these.
 
-def clean_phase(
-    corpus_dir: Path | None,
-    cleaned_dir: Path,
-    cfg: cleaning.CleanConfig,
-    fmt: str | None = None,
-) -> dict:
+def clean_phase(corpus_dir: Path | None, cleaned_dir: Path, cfg: cleaning.CleanConfig) -> dict:
     """Clean every corpus document into `cleaned_dir`; the phase has no
     graph, so only the report is returned."""
     if corpus_dir is None:
         cleaned_dir.mkdir(parents=True, exist_ok=True)
         return {"files": {}, "total_kept": 0, "total_dropped": 0}
-    return cleaning.clean_directory(Path(corpus_dir), cleaned_dir, cfg, fmt)
+    return cleaning.clean_directory(Path(corpus_dir), cleaned_dir, cfg)
 
 
 def ingest_phase(scored_triples: Path) -> tuple[KnowledgeGraph, dict]:
@@ -388,35 +343,33 @@ def correct_phase(
 def complete_phase(
     kg: KnowledgeGraph,
     cfg: completion.TrainConfig,
-    relations: list[Term],
-    threshold: float = PipelineConfig.predict_threshold,
-    top_k: int = PipelineConfig.predict_top_k,
-    holdout: float = PipelineConfig.holdout_fraction,
     train_extra: Path | None = None,
     sim_threshold: float = correction.CorrectionConfig.sim_threshold,
     model_out: Path | None = None,
 ) -> tuple[KnowledgeGraph, dict]:
     """Train on the graph (plus `train_extra`) and return a new graph with
-    the predicted statements for `relations` added.  `agreement`
-    compares each existing assertion with the model's best observed
-    object, labels matching at `sim_threshold`.  With `holdout` > 0 that
-    fraction of the pool is held out of training and ranked (filtered MRR
-    and Hits@k).
+    the predicted statements for `cfg.predict_relations` added.
+    `agreement` compares each existing assertion with the model's best
+    observed object, labels matching at `sim_threshold`.  With
+    `cfg.holdout` > 0 that fraction of the pool is held out of training
+    and ranked (filtered MRR and Hits@k).
     Training is skipped when the pool is empty, or when there is nothing
     to predict, score or save to `model_out`."""
     report: dict = {"predictions": [], "notes": []}
     predictions: list = []
+    relations = [Term.iri(r) for r in sorted(cfg.predict_relations)]
     pool = completion.training_triples(kg)
     if train_extra is not None:
-        pool = sorted(set(pool) | set(completion.load_tsv(Path(train_extra))))
+        extra = set(completion.load_tsv(Path(train_extra)))
+        pool = sorted(extra.union(pool), key=Triple.sort_key)
     if not pool:
         report["notes"].append("no resource-object statements; training skipped")
     elif not relations:
         report["notes"].append("no candidate relations configured; prediction skipped")
-    if pool and (relations or holdout > 0 or model_out is not None):
-        train_split, test_split = completion.split_holdout(pool, holdout, cfg.seed)
+    if pool and (relations or cfg.holdout > 0 or model_out is not None):
+        train_split, test_split = completion.split_holdout(pool, cfg.holdout, cfg.seed)
         model = completion.train(train_split, cfg)
-        if holdout > 0:
+        if cfg.holdout > 0:
             covered = [
                 t for t in test_split
                 if t.subject in model.entity_index
@@ -429,7 +382,7 @@ def complete_phase(
                 "hits": {str(k): v for k, v in metrics.hits.items()},
                 "evaluated": metrics.evaluated,
             }
-        predictions = completion.predict_missing(model, kg, relations, threshold, top_k)
+        predictions = completion.predict_missing(model, kg, relations, cfg.threshold, cfg.top_k)
         report["agreement"] = completion.agreement_rates(model, kg, relations, sim_threshold)
         report["trained_on"] = len(train_split)
         report["entities"] = len(model.entity_index)
@@ -507,10 +460,7 @@ def run(config: PipelineConfig) -> PipelineResult:
         counts[phase] = phase_counts
 
     with timed("clean"):
-        report = clean_phase(
-            config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"],
-            configs["clean_format"],
-        )
+        report = clean_phase(config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"])
         save("clean", None, report, files=len(report["files"]),
              kept=report["total_kept"], dropped=report["total_dropped"])
 
@@ -536,7 +486,7 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     with timed("complete"):
         kg, report = complete_phase(
-            kg, configs["complete"], **configs["complete_args"], train_extra=config.train_extra,
+            kg, configs["complete"], config.train_extra,
             sim_threshold=configs["correct"].sim_threshold,
         )
         save("complete", kg, report, predicted=report["predicted_count"])

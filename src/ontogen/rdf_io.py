@@ -222,10 +222,12 @@ def serialize_ntriples(triples: Iterable[Triple]) -> bytes:
 _PREFIX_LINE = re.compile(r"@prefix\s+([A-Za-z][A-Za-z0-9_-]*)?:\s*<([^>]*)>\s*\.\s*$")
 _PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9_][A-Za-z0-9_.-]*)$")
 
+#: one token; a literal's body, datatype and language are groups 1-3,
+#: the one literal grammar N-Triples uses too
 _TTL_TOKEN = re.compile(
-    r"""
+    rf"""
     <[^>]*>                                 # IRI
-    | "(?:[^"\\]|\\.)*"(?:\^\^<[^>]*>|@[A-Za-z][A-Za-z0-9-]*)?   # literal
+    | {_LITERAL_RE}
     | [A-Za-z][A-Za-z0-9_-]*?:[A-Za-z0-9_][A-Za-z0-9_.-]*        # prefixed name
     | :[A-Za-z0-9_][A-Za-z0-9_.-]*          # default-prefix name
     | \ba\b                                 # rdf:type shorthand
@@ -272,17 +274,18 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     prefixes: dict[str, str] = {}
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
-    pending: list[tuple[int, str]] = []
+    pending: list[tuple[int, re.Match]] = []
     term = _interner()
+    spoiled = False
 
-    def expand(token: str, lineno: int) -> Term | None:
+    def expand(tok: re.Match, lineno: int) -> Term | None:
+        token = tok.group(0)
         if token == "a":
             return term("iri", RDF_TYPE)
         if token.startswith("<"):
             return term("iri", token[1:-1])
         if token.startswith('"'):
-            lit = parse_term(token)
-            return term("literal", lit.value, lit.datatype, lit.language)
+            return term("literal", _unescape_literal(tok.group(1)), tok.group(2), tok.group(3))
         m = _PNAME_RE.match(token)
         if m:
             prefix = m.group(1) or ""
@@ -293,23 +296,32 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
         diagnostics.append(Diagnostic(lineno, f"cannot interpret token {token!r}"))
         return None
 
-    def flush(lineno: int) -> None:
-        if not pending:
-            return
+    def stray(text: str, lineno: int) -> bool:
+        """Whether `text`, found between tokens, is more than blanks; if so
+        it is reported."""
+        text = text.strip()
+        if text:
+            diagnostics.append(Diagnostic(lineno, f"unexpected text {text!r}"))
+        return bool(text)
+
+    def flush(skip: bool) -> None:
+        """Add the pending statement, unless `skip` (stray text inside it
+        was already reported)."""
         tokens = [tok for _, tok in pending]
-        first_line = pending[0][0]
+        first_line = pending[0][0] if pending else 0
         pending.clear()
+        if skip or not tokens:
+            return
         if len(tokens) != 3:
             diagnostics.append(
                 Diagnostic(first_line, f"expected 3 terms per statement, got {len(tokens)}")
             )
             return
-        terms = [expand(tok, first_line) for tok in tokens]
-        if any(t is None for t in terms):
-            return
         try:
-            triples.append(Triple(terms[0], terms[1], terms[2]))
-        except ModelError as exc:
+            terms = [expand(tok, first_line) for tok in tokens]
+            if all(t is not None for t in terms):
+                triples.append(Triple(terms[0], terms[1], terms[2]))
+        except (ModelError, ParseError) as exc:
             diagnostics.append(Diagnostic(first_line, str(exc)))
 
     for lineno, raw in _lines(data, "Turtle input"):
@@ -322,18 +334,15 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
             continue
         pos = 0
         for m in _TTL_TOKEN.finditer(line):
-            if line[pos : m.start()].strip():
-                diagnostics.append(
-                    Diagnostic(lineno, f"unexpected text {line[pos:m.start()].strip()!r}")
-                )
+            spoiled |= stray(line[pos : m.start()], lineno)
             pos = m.end()
-            tok = m.group(0)
-            if tok == ".":
-                flush(lineno)
+            if m.group(0) == ".":
+                flush(spoiled)
+                spoiled = False
             else:
-                pending.append((lineno, tok))
-        if line[pos:].strip():
-            diagnostics.append(Diagnostic(lineno, f"unexpected text {line[pos:].strip()!r}"))
+                pending.append((lineno, m))
+        # text after a line's last "." spoils no statement
+        spoiled = (stray(line[pos:], lineno) or spoiled) and bool(pending)
     if pending:
         diagnostics.append(Diagnostic(pending[0][0], "statement not terminated by '.'"))
         pending.clear()

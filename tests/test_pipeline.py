@@ -41,6 +41,7 @@ def _kinship_nt(tmp: Path) -> str:
 
 
 FOCUS = ff.PROP + "businessFocus"
+MARRIED = ff.kin_relation("marriedTo").value
 
 # each case: the section its diagnostic must name, and argv from the demo
 # fixture directory and a scratch directory
@@ -93,7 +94,20 @@ MALFORMED_SETTINGS = [
         "clean", "--in", str(src / "corpus"), "--out", str(tmp / "out" / "cleaned"),
         "--format", "pdf",
     ], id="clean-flag-format-pdf"),
+    pytest.param("clean", lambda src, tmp: _run_with(src, tmp, "clean", {"format": 3}),
+                 id="clean-format-int"),
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {"top_k": 1.5}),
+                 id="top-k-float"),
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--top-k", "abc", "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-top-k-abc"),
 ]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
 
 
 def read_graph_triples(path: Path) -> set[Triple]:
@@ -298,6 +312,19 @@ class TestRunArtifacts:
         assert set(manifest["phases"]) == set(pipeline.PHASES)
         assert manifest == result.manifest
 
+    def test_config_hash_ignores_how_a_value_is_spelled(self, pipeline_config_path):
+        # a set key's order and repeats, an integer for a number key, and
+        # a default written out configure the same run
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        respelled = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        config.train_options |= {"threshold": 1.0, "predict_relations": [FOCUS, MARRIED]}
+        config.train_options.pop("top_k", None)
+        respelled.train_options |= {"threshold": 1, "predict_relations": [MARRIED, FOCUS, FOCUS],
+                                    "top_k": TrainConfig.top_k}
+        assert respelled.config_hash() == config.config_hash()
+        respelled.train_options["threshold"] = 2
+        assert respelled.config_hash() != config.config_hash()
+
 
 class TestEmptyInputs:
     def test_empty_corpus_and_triples(self, tmp_path):
@@ -389,7 +416,7 @@ class TestCompletePhase:
         kg = KnowledgeGraph()
         for t in ff.kinship_triples():
             kg.add_triple(t, 0.9)
-        _, report = pipeline.complete_phase(kg, TrainConfig(dimension=4, epochs=3), [], holdout=0.2)
+        _, report = pipeline.complete_phase(kg, TrainConfig(dimension=4, epochs=3, holdout=0.2))
         assert report["trained_on"] == 160
         assert len(report["loss_history"]) == 3
         assert report["loss_history"][-1] == report["final_loss"]
@@ -399,12 +426,29 @@ class TestCompletePhase:
         for t in ff.kinship_triples():
             kg.add_triple(t, 0.9)
         before = kg.statements()
-        out, report = pipeline.complete_phase(
-            kg, TrainConfig(dimension=4, epochs=3), [ff.kin_relation("marriedTo")], threshold=-1.0
-        )
+        cfg = TrainConfig(dimension=4, epochs=3, predict_relations=frozenset({MARRIED}),
+                          threshold=-1.0)
+        out, report = pipeline.complete_phase(kg, cfg)
         assert report["predicted_count"] > 0
         assert kg.statements() == before
         assert len(out) == len(kg) + report["predicted_count"]
+
+    def test_a_relation_listed_twice_is_predicted_once(self, tmp_path):
+        kg = KnowledgeGraph()
+        for t in ff.kinship_triples():
+            kg.add_triple(t, 0.9)
+        reports = []
+        for listed in ([MARRIED], [MARRIED, MARRIED]):
+            (tmp_path / "pipeline.yaml").write_text(yaml.safe_dump({"complete": {
+                "dimension": 4, "epochs": 3, "threshold": -1.0, "predict_relations": listed,
+            }}), encoding="utf-8")
+            config = pipeline.PipelineConfig.from_file(tmp_path / "pipeline.yaml")
+            out, report = pipeline.complete_phase(kg, config.phase_configs()["complete"])
+            assert len(out) == len(kg) + report["predicted_count"]
+            reports.append(report)
+        once, twice = reports
+        assert twice["predicted_count"] == once["predicted_count"] > 0
+        assert twice["predictions"] == once["predictions"]
 
 
 class TestCli:
@@ -504,6 +548,38 @@ class TestCli:
         assert rc == 0
         assert list(json.loads((tmp_path / "m.json").read_text())["agreement"]) == [married]
 
+    def test_train_extra_joins_the_training_pool(self, tmp_path):
+        kg_path = _kinship_nt(tmp_path)
+        extra = tmp_path / "extra.tsv"
+        extra.write_text(
+            f"{ff.EX}x1\t{MARRIED}\t{ff.EX}x2\n{ff.EX}x2\t{MARRIED}\t{ff.EX}x1\n",
+            encoding="utf-8",
+        )
+        pool = len(completion.training_triples(pipeline.read_graph(Path(kg_path))))
+        for argv, size in (([], pool), (["--train-extra", str(extra)], pool + 2)):
+            rc = cli_main(["complete", "--in", kg_path, *argv, "--dim", "4", "--epochs", "3",
+                           "--holdout", "0.2", "--out", str(tmp_path / "o.nt"),
+                           "--metrics", str(tmp_path / "m.json")])
+            assert rc == 0
+            report = json.loads((tmp_path / "m.json").read_text())
+            assert report["trained_on"] == int(size * 0.8)
+
+    def test_a_relation_listed_twice_in_a_file_is_predicted_once(self, tmp_path):
+        kg_path = _kinship_nt(tmp_path)
+        reports = []
+        for lines in ([MARRIED], [MARRIED, MARRIED]):
+            rels = tmp_path / "rels.txt"
+            rels.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            rc = cli_main(["complete", "--in", kg_path, "--dim", "4", "--epochs", "3",
+                           "--predict-relations", str(rels), "--threshold", "-1",
+                           "--out", str(tmp_path / "o.nt"), "--metrics", str(tmp_path / "m.json")])
+            assert rc == 0
+            report = json.loads((tmp_path / "m.json").read_text())
+            added = len(read_graph_triples(tmp_path / "o.nt") - read_graph_triples(Path(kg_path)))
+            assert added == report["predicted_count"] > 0
+            reports.append(report)
+        assert reports[1]["predictions"] == reports[0]["predictions"]
+
     def test_run_and_report_subcommands(self, pipeline_config_path, pipeline_run, capsys):
         # reuse the session run's output directory
         config, _ = pipeline_run
@@ -553,17 +629,23 @@ class TestCli:
                         correction.CorrectionConfig, completion.TrainConfig)
             for f in fields(cls)
         } | set(inspect.signature(pipeline.complete_phase).parameters)
-        subparsers = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
         mirrored = [
             (command, action.dest, action.default)
-            for command, parser in subparsers.choices.items()
+            for command, parser in _subcommands().items()
             for action in parser._actions
             if action.dest in names
         ]
         assert {"low_threshold", "dimension", "sim_threshold", "threshold"} <= {m[1] for m in mirrored}
         assert [m for m in mirrored if m[2] is not None] == []
+
+    def test_every_setting_flag_is_a_field_of_its_section(self):
+        # a flag that is no input or output path reaches the phase only
+        # through `phase_config`, as the field of the same name
+        paths = {"help", "in_dir", "out_dir", "in_file", "out", "report", "schema", "axioms",
+                 "reference", "train_extra", "metrics", "model_out"}
+        for command, (cls, _) in pipeline._SECTIONS.items():
+            settings = {a.dest for a in _subcommands()[command]._actions} - paths
+            assert settings and settings <= {f.name for f in fields(cls)}, command
 
     def test_missing_report_dir(self, tmp_path):
         assert cli_main(["report", "--run-dir", str(tmp_path)]) == 1

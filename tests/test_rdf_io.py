@@ -266,6 +266,26 @@ class TestTurtle:
         assert not diags
         assert parsed[0].object.value == "http://other.example/x#frag"
 
+    @pytest.mark.parametrize("literal", [r'"bad\q"', r'"x\u12"', '"x"@en-'])
+    def test_bad_literal_is_a_diagnostic_as_in_ntriples(self, literal):
+        # both readers share one literal grammar, so each skips the line
+        statement = f"<http://e/s> <http://e/p> {literal} .\n"
+        assert len(parse_ntriples(statement.encode())[1]) == 1
+        parsed, diags = parse_turtle(
+            f"@prefix e: <http://e/> .\n{statement}e:s e:p \"ok\"@en-US .\n".encode()
+        )
+        assert [d.line for d in diags] == [2]
+        assert [t.object for t in parsed] == [Term.literal("ok", language="en-US")]
+
+    def test_stray_text_skips_only_its_own_statement(self):
+        parsed, diags = parse_turtle(
+            b"@prefix e: <http://e/> .\ne:s e:p e:a junk .\ne:s e:p e:b . junk\ne:s e:p e:c .\n"
+        )
+        assert [(d.line, d.message) for d in diags] == [
+            (2, "unexpected text 'junk'"), (3, "unexpected text 'junk'"),
+        ]
+        assert [t.object.value for t in parsed] == ["http://e/b", "http://e/c"]
+
 
 class TestScoredJsonl:
     def test_accepts_generator_style_confidence(self):
