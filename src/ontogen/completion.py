@@ -60,6 +60,8 @@ class TrainConfig:
             raise CompletionError("learning_rate and negatives must be positive, l2 non-negative")
         if not 0.0 <= self.holdout < 1.0:
             raise CompletionError(f"holdout must be in [0, 1), got {self.holdout}")
+        if self.top_k < 1:
+            raise CompletionError(f"top_k must be >= 1, got {self.top_k}")
         try:
             for r in self.predict_relations:
                 Term.iri(r)

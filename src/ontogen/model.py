@@ -25,14 +25,11 @@ derived graph is never sorted again.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-
-log = logging.getLogger(__name__)
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"

@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from functools import partial
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -172,12 +172,12 @@ class PipelineConfig:
         return built
 
     def canonical_dict(self) -> dict:
-        """What `config_hash` hashes: the paths as strings, the seed, and
-        each section's config object as `phase_configs` builds it, sets
-        sorted, so a default written out hashes as one left out."""
+        """What `config_hash` hashes: the input paths (not `output_dir`) as
+        strings, the seed, and each section's config object as `phase_configs`
+        builds it, sets sorted, so a default written out hashes as one left out."""
         configs = self.phase_configs()
         out = {key: None if getattr(self, key) is None else str(getattr(self, key))
-               for key in (*_PATHS, "train_extra")}
+               for key in (*_PATHS, "train_extra") if key != "output_dir"}
         out["seed"] = configs["seed"]["seed"]
         for section in _SECTIONS:
             out[section] = {k: sorted(v) if isinstance(v, frozenset) else v
@@ -326,7 +326,7 @@ def correct_phase(
         facts, diags = parse_ntriples(Path(reference_facts).read_bytes())
         if diags:
             raise ValueError(f"reference facts {reference_facts}: {len(diags)} unparseable lines")
-        reference.facts |= set(facts)
+        reference = replace(reference, facts=reference.facts | set(facts))
     kg, report = correction.correct(kg, reference, cfg)
     return kg, {
         "checked": report.checked,

@@ -352,9 +352,6 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
 # ----------------------------------------------------------------------
 # scored-triple ingestion records
 
-_RECORD_KEYS = {"s", "p", "o", "o_kind", "conf", "id"}
-
-
 def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic]]:
     """Parse line-delimited scored-triple records.
 

@@ -30,13 +30,9 @@ CONTEXT_POOL = 512
 #: statements a (subject class, predicate, object class) combination needs to be plausible
 MIN_COMBO_SUPPORT = 2
 
-#: bytes of one block of distance rows; LOF holds one such block, one
-#: LOF_STRIP_BYTES scratch strip and the neighbor lists, never an n x n matrix
-LOF_BLOCK_BYTES = 5 << 20
-
-#: bytes of the scratch strip a block's squares are summed and its
-#: k-distances selected through, a few rows at a time
-LOF_STRIP_BYTES = 256 << 10
+#: bytes of one block of distance rows; LOF holds one such block, two
+#: scratch blocks and the neighbor lists, never an n x n matrix
+LOF_BLOCK_BYTES = 256 << 10
 
 
 class RefineError(ValueError):
@@ -96,32 +92,23 @@ def threshold_filter(
     return kg.without(st.triple for st in removed + band), removed, band
 
 
-def _strips(rows: int, n: int) -> tuple[np.ndarray, range]:
-    """A scratch strip of at most LOF_STRIP_BYTES (at least one row) for
-    rows x n float64 rows, and the first row of each strip-sized slice."""
-    height = min(rows, max(1, LOF_STRIP_BYTES // (8 * n)))
-    return np.empty((height, n)), range(0, rows, height)
-
-
-def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
+def _distance_rows(pts: np.ndarray, start: int, stop: int, diff: np.ndarray) -> np.ndarray:
     """Euclidean distances from pts[start:stop] to every point.
 
     Squares are added one dimension at a time: the same sequential sum
     numpy takes over a short (< 8) last axis, so the rows equal
     sqrt(((pts[:, None] - pts[None]) ** 2).sum(2)) bit for bit without a
-    rows x n x dims difference tensor.  Each square is formed in one
-    reused scratch strip, so the rows cost one rows x n array plus it.
+    rows x n x dims difference tensor.  Each square is formed in the
+    caller's scratch `diff` (at least rows x n), so the rows cost one
+    rows x n array plus it.
     """
     block = pts[start:stop]
     dist = np.zeros((len(block), len(pts)))
-    strip, tops = _strips(len(block), len(pts))
-    for top in tops:
-        rows = dist[top : top + len(strip)]
-        diff = strip[: len(rows)]
-        for d in range(pts.shape[1]):
-            np.subtract(block[top : top + len(rows), d, None], pts[None, :, d], out=diff)
-            diff *= diff
-            rows += diff
+    diff = diff[: len(block)]
+    for d in range(pts.shape[1]):
+        np.subtract(block[:, d, None], pts[None, :, d], out=diff)
+        diff *= diff
+        dist += diff
     return np.sqrt(dist, out=dist)
 
 
@@ -139,10 +126,11 @@ def lof_scores(points, k: int) -> np.ndarray:
     reachability distances vanish, and a point whose k nearest neighbors
     all sit at distance zero gets LOF exactly 1.
 
-    Distances are computed `_block_rows(n)` rows at a time, each block's
-    k-distances are selected a strip at a time, and only each point's
-    neighborhood is kept, so memory is O(LOF_BLOCK_BYTES + LOF_STRIP_BYTES
-    + n + neighbor pairs).
+    Distances are computed and their k-distances selected `_block_rows(n)`
+    rows at a time, through two scratch blocks allocated once per call
+    (the squares' `diff` and the partition buffer `part`), and only each
+    point's neighborhood is kept, so memory is O(LOF_BLOCK_BYTES + n +
+    neighbor pairs).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -155,25 +143,21 @@ def lof_scores(points, k: int) -> np.ndarray:
 
     kdist = np.empty(n)
     rows, cols, dists = [], [], []
-    rows_per_block = _block_rows(n)
-    for start in range(0, n, rows_per_block):
-        dist = _distance_rows(pts, start, start + rows_per_block)
+    height = min(n, _block_rows(n))
+    diff, part = np.empty((height, n)), np.empty((height, n))
+    for start in range(0, n, height):
+        dist = _distance_rows(pts, start, start + height, diff)
         local = np.arange(len(dist))
         dist[local, start + local] = np.inf
-        strip, tops = _strips(len(dist), n)
-        for top in tops:
-            span = dist[top : top + len(strip)]
-            part = strip[: len(span)]
-            part[...] = span
-            part.partition(k - 1, axis=1)
-            first = start + top
-            kd = kdist[first : first + len(span)]
-            kd[...] = part[:, k - 1]
-            r, c = np.nonzero(span <= kd[:, None])  # ties included; self excluded via inf
-            rows.append(r + first)
-            cols.append(c)
-            dists.append(span[r, c])
-        del dist, span, strip, part  # free this block before the next one is built
+        span = part[: len(dist)]
+        span[...] = dist
+        span.partition(k - 1, axis=1)
+        kd = kdist[start : start + len(dist)]
+        kd[...] = span[:, k - 1]
+        r, c = np.nonzero(dist <= kd[:, None])  # ties included; self excluded via inf
+        rows.append(r + start)
+        cols.append(c)
+        dists.append(dist[r, c])
     rows, cols, dists = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
     counts = np.bincount(rows, minlength=n)
 

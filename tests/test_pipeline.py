@@ -101,6 +101,9 @@ MALFORMED_SETTINGS = [
     pytest.param("complete", lambda src, tmp: [
         "complete", "--in", _kinship_nt(tmp), "--top-k", "abc", "--out", str(tmp / "out" / "kg.nt"),
     ], id="complete-flag-top-k-abc"),
+    pytest.param("complete", lambda src, tmp: [
+        "complete", "--in", _kinship_nt(tmp), "--top-k", "0", "--out", str(tmp / "out" / "kg.nt"),
+    ], id="complete-flag-top-k-0"),
 ]
 
 
@@ -325,6 +328,12 @@ class TestRunArtifacts:
         respelled.train_options["threshold"] = 2
         assert respelled.config_hash() != config.config_hash()
 
+    def test_config_hash_ignores_the_output_dir(self, pipeline_config_path, tmp_path):
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        before = config.config_hash()
+        config.output_dir = tmp_path / "elsewhere"
+        assert config.config_hash() == before
+
 
 class TestEmptyInputs:
     def test_empty_corpus_and_triples(self, tmp_path):
@@ -409,6 +418,16 @@ class TestRefinePhase:
         pipeline.run(pipeline.PipelineConfig.from_file(tmp_path / "pipeline.yaml"))
         report = json.loads((tmp_path / "out" / "reports" / "refine.json").read_text())
         assert self.SKIPPED in report["notes"]
+
+
+class TestCorrectPhase:
+    def test_reference_schema_is_left_as_given(self, pipeline_fixture_dir):
+        facts = pipeline_fixture_dir / "reference_facts.nt"
+        assert read_graph_triples(facts)
+        reference = pipeline.load_ontology(pipeline_fixture_dir / "reference_axioms.ttl")
+        before = set(reference.facts)
+        pipeline.correct_phase(KnowledgeGraph(), reference, correction.CorrectionConfig(), facts)
+        assert reference.facts == before
 
 
 class TestCompletePhase:

@@ -114,8 +114,6 @@ class TestLofScores:
         return lambda budget: monkeypatch.setattr(refinement, "LOF_BLOCK_BYTES", budget)
 
     def test_block_rows_fill_the_byte_budget(self):
-        # the scale1k band's 2,512 points still get blocks of 256 rows or more
-        assert _block_rows(2512) >= 256
         assert _block_rows(10_000) * 8 * 10_000 <= refinement.LOF_BLOCK_BYTES
         assert _block_rows(10**9) == 1
 
@@ -173,7 +171,8 @@ class TestLofScores:
         rng = np.random.default_rng(5)
         pts = np.concatenate([rng.uniform(0, 1, (n - 3, 5)), np.zeros((3, 5))])
         dense = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
-        blocked = np.vstack([_distance_rows(pts, s, s + rows) for s in range(0, n, rows)])
+        diff = np.empty((rows, n))
+        blocked = np.vstack([_distance_rows(pts, s, s + rows, diff) for s in range(0, n, rows)])
         assert np.array_equal(blocked, dense)
 
     def test_memory_below_one_dense_matrix(self):
@@ -189,14 +188,14 @@ class TestLofScores:
             tracemalloc.stop()
         assert peak < n * n * 8
 
-    def test_memory_one_block_and_one_strip(self, traced_peak):
+    def test_memory_a_few_blocks_and_the_neighbor_lists(self, traced_peak):
         # continuous points have no ties, so n * k neighbor pairs; n spans
-        # ten blocks, each of which held about three block-sized arrays
+        # many blocks, and the whole call holds a few block-sized arrays
         n, k = 2512, 5
         pts = np.random.default_rng(4).uniform(0, 1, (n, 5))
         assert _block_rows(n) < n
         _, peak, _ = traced_peak(lof_scores, pts, k)
-        assert peak < refinement.LOF_BLOCK_BYTES + refinement.LOF_STRIP_BYTES + 64 * (n + n * k)
+        assert peak < 4 * refinement.LOF_BLOCK_BYTES + 64 * (n + n * k)
 
     def test_uniform_hypercube_median_near_one(self):
         rng = np.random.default_rng(3)
