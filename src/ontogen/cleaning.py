@@ -341,22 +341,28 @@ def clean(doc: RawDocument, cfg: CleanConfig = CleanConfig()) -> CleanDocument:
 
 def clean_directory(in_dir: Path, out_dir: Path, cfg: CleanConfig = CleanConfig()) -> dict:
     """Clean every file in a directory, each as `cfg.format` or by its
-    extension, writing one .txt per input plus a JSON summary of
-    kept/dropped counts."""
+    extension, into `sentences.jsonl` plus a JSON summary of kept/dropped
+    counts.
+
+    `sentences.jsonl` holds one `{"doc", "n", "text"}` record per kept
+    sentence: the input's file name, the sentence's index within that
+    document, and the sentence, in (file name, n) order.  Records are
+    written one document at a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"files": {}, "total_kept": 0, "total_dropped": 0}
-    for path in sorted(p for p in in_dir.iterdir() if p.is_file()):
-        doc = RawDocument.from_path(path, cfg.format)
-        result = clean(doc, cfg)
-        (out_dir / (path.stem + ".txt")).write_text(
-            "".join(s + "\n" for s in result.sentences), encoding="utf-8"
-        )
-        summary["files"][path.name] = {
-            "kept": len(result.sentences),
-            "dropped": result.dropped_segments,
-        }
-        summary["total_kept"] += len(result.sentences)
-        summary["total_dropped"] += result.dropped_segments
+    with open(out_dir / "sentences.jsonl", "w", encoding="utf-8", newline="\n") as out:
+        for path in sorted(p for p in in_dir.iterdir() if p.is_file()):
+            result = clean(RawDocument.from_path(path, cfg.format), cfg)
+            out.writelines(
+                json.dumps({"doc": path.name, "n": n, "text": s}, ensure_ascii=False) + "\n"
+                for n, s in enumerate(result.sentences)
+            )
+            summary["files"][path.name] = {
+                "kept": len(result.sentences),
+                "dropped": result.dropped_segments,
+            }
+            summary["total_kept"] += len(result.sentences)
+            summary["total_dropped"] += result.dropped_segments
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from functools import partial
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -441,17 +442,17 @@ def run(config: PipelineConfig) -> PipelineResult:
     timing: dict[str, float] = {}
     started = time.perf_counter()
 
+    @contextmanager
     def timed(phase: str):
-        class _Timer:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                timing[phase] = round(time.perf_counter() - self_inner.t0, 6)
-                if exc is not None and not isinstance(exc, PhaseError):
-                    raise PhaseError(phase, exc) from exc
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        except PhaseError:
+            raise
+        except Exception as exc:
+            raise PhaseError(phase, exc) from exc
+        finally:
+            timing[phase] = round(time.perf_counter() - t0, 6)
 
     def save(phase: str, kg: KnowledgeGraph | None, report: dict, **phase_counts) -> None:
         if kg is not None:

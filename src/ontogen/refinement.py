@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple
+from .model import RDF_TYPE, KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple
 from .model import connected_components
 
 log = logging.getLogger(__name__)
@@ -311,10 +311,11 @@ def prune_disconnected(
 ) -> tuple[KnowledgeGraph, list[Term], list[ScoredTriple]]:
     """Keep only the largest connected component of the data graph.
 
-    Returns the pruned graph, the removed nodes and the removed data
-    statements, both in canonical order.  Type assertions about removed
-    entities go with them; pure schema statements (class declarations,
-    subclass edges, domain/range) stay.
+    Returns the pruned graph, the removed nodes and every removed
+    statement, both in canonical order.  The removed statements are the
+    data statements touching a removed node and the type assertions about
+    one; pure schema statements (class declarations, subclass edges,
+    domain/range) stay.
     """
     components = connected_components(kg)
     removed_nodes = sorted((n for comp in components[1:] for n in comp), key=Term.sort_key)
@@ -322,8 +323,9 @@ def prune_disconnected(
     removed = [
         st for st in kg.data_statements if st.triple.subject in gone or st.triple.object in gone
     ]
-    types = [t for t in kg.type_assertions() if t.subject in gone]
-    return kg.without([st.triple for st in removed] + types), removed_nodes, removed
+    removed += (st for st in kg.with_predicate(RDF_TYPE) if st.triple.subject in gone)
+    removed.sort(key=lambda st: st.triple.sort_key())
+    return kg.without(st.triple for st in removed), removed_nodes, removed
 
 
 def refine(

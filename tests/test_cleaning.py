@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -198,11 +199,67 @@ class TestCorpusGroundTruth:
         assert recall >= 0.9
 
 
+def _records(out: Path) -> list[dict]:
+    lines = (out / "sentences.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
 class TestCleanDirectory:
     def test_writes_txt_and_summary(self, tmp_path):
         out = tmp_path / "out"
         summary = clean_directory(CORPUS, out, CleanConfig())
         assert (out / "summary.json").is_file()
-        assert (out / "earnings.txt").read_text().count("\n") == 3
+        assert [r["doc"] for r in _records(out)].count("earnings.html") == 3
         assert summary["files"]["notes.txt"]["kept"] == 3
         assert summary["total_kept"] >= 19
+
+    def test_records_are_each_documents_sentences_in_order(self, tmp_path):
+        out = tmp_path / "out"
+        clean_directory(CORPUS, out, CleanConfig())
+        records = _records(out)
+        assert all(set(r) == {"doc", "n", "text"} for r in records)
+        for path in sorted(CORPUS.iterdir()):
+            mine = [r for r in records if r["doc"] == path.name]
+            assert [r["text"] for r in mine] == clean(RawDocument.from_path(path)).sentences
+            assert [r["n"] for r in mine] == list(range(len(mine)))
+
+    def test_records_in_file_name_then_index_order(self, tmp_path):
+        out = tmp_path / "out"
+        summary = clean_directory(CORPUS, out, CleanConfig())
+        keys = [(r["doc"], r["n"]) for r in _records(out)]
+        assert keys == sorted(keys)
+        assert len(keys) == summary["total_kept"]
+        assert len({doc for doc, _ in keys}) >= 4
+
+    def test_document_without_sentences_writes_no_record(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "notes.txt", corpus / "notes.txt")
+        (corpus / "empty.txt").write_text("too short\n\n", encoding="utf-8")
+        out = tmp_path / "out"
+        summary = clean_directory(corpus, out, CleanConfig())
+        assert summary["files"]["empty.txt"]["kept"] == 0
+        assert {r["doc"] for r in _records(out)} == {"notes.txt"}
+
+    def test_writes_only_the_stream_and_the_summary(self, tmp_path):
+        out = tmp_path / "out"
+        clean_directory(CORPUS, out, CleanConfig())
+        assert sorted(p.name for p in out.iterdir()) == ["sentences.jsonl", "summary.json"]
+
+    def test_rerun_into_same_directory_is_byte_identical(self, tmp_path):
+        out = tmp_path / "out"
+        clean_directory(CORPUS, out, CleanConfig())
+        first = (out / "sentences.jsonl").read_bytes()
+        clean_directory(CORPUS, out, CleanConfig())
+        assert (out / "sentences.jsonl").read_bytes() == first
+
+    def test_non_ascii_sentence_kept_verbatim(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        text = "Société Générale reported higher earnings in Zürich this quarter."
+        (corpus / "fr.txt").write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        clean_directory(corpus, out, CleanConfig())
+        assert (out / "sentences.jsonl").read_text(encoding="utf-8") == (
+            '{"doc": "fr.txt", "n": 0, "text": "' + text + '"}\n'
+        )

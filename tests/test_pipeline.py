@@ -193,6 +193,13 @@ class TestRunArtifacts:
         for phase in pipeline.PHASES:
             assert (out / "reports" / f"{phase}.json").is_file()
 
+    def test_timing_holds_each_phase_and_total(self, pipeline_run):
+        config, _ = pipeline_run
+        timing = json.loads((Path(config.output_dir) / "timing.json").read_text())
+        assert set(timing) == set(pipeline.PHASES) | {"total"}
+        assert all(isinstance(v, float) and v >= 0 and v == round(v, 6) for v in timing.values())
+        assert timing["total"] >= sum(timing[phase] for phase in pipeline.PHASES) - 1e-5
+
     def test_monotone_counts_until_completion(self, pipeline_run):
         config, _ = pipeline_run
         out = Path(config.output_dir)

@@ -286,6 +286,18 @@ class TestValidateBand:
         assert all(score > RefineConfig().lof_threshold for _, score in removed)
 
 
+def _typed_island_graph() -> KnowledgeGraph:
+    """A 30-node ring plus a three-node island whose nodes are all typed."""
+    kg = _context_graph(30)
+    rdf_type = Term.iri(RDF_TYPE)
+    kg.add(st_triple("isleA", "rel", "isleB", 0.9))
+    kg.add(st_triple("isleB", "rel", "isleC", 0.9))
+    for node, cls in (("isleA", "Firm"), ("isleB", "Firm"), ("isleC", "Place"), ("e0", "Firm")):
+        kg.add_triple(Triple(iri(node), rdf_type, iri(cls)), 0.9)
+    kg.add_triple(Triple(iri("Firm"), rdf_type, iri("Class")), 1.0)
+    return kg
+
+
 class TestPruneDisconnected:
     def test_fully_connected_unchanged(self):
         kg = _context_graph(10)
@@ -331,8 +343,27 @@ class TestPruneDisconnected:
         kg.add_triple(Triple(iri("x"), Term.iri(RDF_TYPE), iri("Thing")), 0.9)
         pruned, removed, dropped = prune_disconnected(kg)
         after = set(pruned.data_statements)
-        assert dropped == [st for st in kg.data_statements if st not in after]
-        assert len(dropped) == 3 and len(removed) == 5
+        data_dropped = [st for st in dropped if st.triple.predicate.value != RDF_TYPE]
+        assert data_dropped == [st for st in kg.data_statements if st not in after]
+        assert len(data_dropped) == 3 and len(removed) == 5
+        # x's type assertion is returned too: the list is the whole difference
+        assert dropped == [st for st in kg.statements() if st not in set(pruned.statements())]
+
+    def test_typed_island_returns_edges_and_types(self):
+        kg = _typed_island_graph()
+        pruned, removed, dropped = prune_disconnected(kg)
+        rdf_type = Term.iri(RDF_TYPE)
+        assert [st.triple for st in dropped] == [
+            Triple(iri("isleA"), iri("rel"), iri("isleB")),
+            Triple(iri("isleA"), rdf_type, iri("Firm")),
+            Triple(iri("isleB"), iri("rel"), iri("isleC")),
+            Triple(iri("isleB"), rdf_type, iri("Firm")),
+            Triple(iri("isleC"), rdf_type, iri("Place")),
+        ]  # canonical order: edges and types merged by subject
+        assert removed == [iri("isleA"), iri("isleB"), iri("isleC")]
+        # the class declaration is schema, not an assertion about an island node
+        assert Triple(iri("Firm"), rdf_type, iri("Class")) in pruned.triples()
+        assert set(pruned.statements()) == set(kg.statements()) - set(dropped)
 
 
 class TestImplausibleLinks:
@@ -389,3 +420,11 @@ class TestRefine:
                 assert not (a & b)
         assert set.union(*removed_sets) == before - after
         assert report.kept == len(after)
+
+    def test_report_lists_the_typed_island_types(self):
+        kg = _typed_island_graph()
+        refined, report = refine(kg, None, RefineConfig())
+        listed = {st.triple for st in report.removed_disconnected}
+        assert listed == {st.triple for st in kg.statements()} - set(refined.triples())
+        assert sum(t.predicate.value == RDF_TYPE for t in listed) == 3
+        assert report.kept == len(refined.data_statements) == 60
