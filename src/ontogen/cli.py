@@ -130,14 +130,16 @@ def _cmd_report(args) -> int:
         print(f"no manifest at {manifest_path}", file=sys.stderr)
         return EXIT_VALIDATION
     manifest = json.loads(manifest_path.read_text("utf-8"))
+    timing_path = run_dir / "timing.json"
+    timing = json.loads(timing_path.read_text("utf-8")) if timing_path.is_file() else {}
     print(f"run {manifest['config_hash'][:12]} (seed {manifest['seed']})")
     for phase in pipeline.PHASES:
         phase_counts = manifest["phases"].get(phase, {})
         rendered = ", ".join(f"{k}={v}" for k, v in sorted(phase_counts.items()))
-        print(f"  {phase:<9} {rendered}")
-    timing_path = run_dir / "timing.json"
-    if timing_path.is_file():
-        timing = json.loads(timing_path.read_text("utf-8"))
+        seconds = f"{timing[phase]:.3f}s" if phase in timing else "?"
+        print(f"  {phase:<9} {seconds:>8}  {rendered}")
+    if timing:
+        print("  (clean ran beside the graph phases; total is wall clock, not their sum)")
         print(f"  total     {timing.get('total', '?')}s")
     return EXIT_OK
 

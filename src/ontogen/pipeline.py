@@ -1,15 +1,19 @@
 """Staged pipeline: clean, ingest, refine, correct, complete, map.
 
 Phases hand off through on-disk artifacts so every intermediate graph is
-inspectable; each phase also writes a JSON report.  The run manifest holds
-the config hash, seed, and per-phase counts and is byte-reproducible for a
-fixed config and seed; wall-clock timings go to a separate timing file.
+inspectable; each phase also writes a JSON report.  No graph phase reads
+what `clean` writes, so `run` cleans in a forked child (POSIX only) while
+ingest -> map run in order.  The run manifest holds the config hash, seed,
+and per-phase counts and is byte-reproducible for a fixed config and seed;
+wall-clock timings go to a separate timing file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 import time
 from contextlib import contextmanager
 from functools import partial
@@ -427,9 +431,58 @@ def map_phase(kg: KnowledgeGraph, domain: OntologySchema) -> tuple[KnowledgeGrap
 
 # ----------------------------------------------------------------------
 
+def _fork(fn) -> tuple[int, int]:
+    """Fork a child that calls `fn()`, pickles `(ok, its result or
+    exception, seconds)` into a pipe and leaves through `os._exit`, so it
+    never returns into the caller's stack nor flushes the caller's
+    buffered output.  Returns the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        t0 = time.perf_counter()
+        try:
+            outcome = (True, fn())
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((*outcome, round(time.perf_counter() - t0, 6))))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """All the child wrote, read to EOF before waiting for it (a result
+    larger than the pipe buffer would block both otherwise), and its exit
+    code."""
+    with open(read_fd, "rb") as pipe:
+        blob = pipe.read()
+    return blob, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _join(phase: str, pid: int, read_fd: int):
+    """The `(result, seconds)` of the child `_fork` started for `phase`.
+    Raises PhaseError(phase) with the child's exception, or with its exit
+    status if it wrote nothing or did not exit 0."""
+    blob, code = _reap(pid, read_fd)
+    if code or not blob:
+        raise PhaseError(phase, RuntimeError(f"child process exited with status {code}"))
+    ok, value, seconds = pickle.loads(blob)
+    if not ok:
+        raise PhaseError(phase, value)
+    return value, seconds
+
+
 def run(config: PipelineConfig) -> PipelineResult:
-    """Execute all phases in order, writing artifacts, reports, a manifest,
-    and a timing file under the configured output directory."""
+    """Execute all phases, writing artifacts, reports, a manifest, and a
+    timing file under the configured output directory.  `clean` runs in a
+    forked child beside ingest -> map; a failed clean is raised before a
+    graph phase's error, as if it had run first.  `timing.json` holds each
+    phase's own seconds and, as `total`, the run's wall clock."""
     diagnostics = validate(config)
     if diagnostics:
         raise ValidationError(diagnostics)
@@ -460,42 +513,55 @@ def run(config: PipelineConfig) -> PipelineResult:
         write_json(out_dir / "reports" / f"{phase}.json", report)
         counts[phase] = phase_counts
 
-    with timed("clean"):
+    def clean() -> dict:
         report = clean_phase(config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"])
-        save("clean", None, report, files=len(report["files"]),
-             kept=report["total_kept"], dropped=report["total_dropped"])
+        write_json(out_dir / "reports" / "clean.json", report)
+        return {"files": len(report["files"]), "kept": report["total_kept"],
+                "dropped": report["total_dropped"]}
 
-    with timed("ingest"):
-        kg, report = ingest_phase(config.scored_triples)
-        save("ingest", kg, report, records=report["records"], statements=len(kg),
-             diagnostics=len(report["diagnostics"]))
+    child = _fork(clean)
+    try:
+        with timed("ingest"):
+            kg, report = ingest_phase(config.scored_triples)
+            save("ingest", kg, report, records=report["records"], statements=len(kg),
+                 diagnostics=len(report["diagnostics"]))
 
-    with timed("refine"):
-        reference = load_ontology(Path(config.reference_axioms))
-        kg, report = refine_phase(kg, reference, configs["refine"])
-        save("refine", kg, report,
-             removed_threshold=len(report["removed_by_threshold"]),
-             removed_lof=len(report["removed_by_lof"]),
-             removed_implausible=len(report["removed_implausible"]),
-             removed_disconnected=len(report["removed_disconnected"]),
-             kept=report["kept"])
+        with timed("refine"):
+            reference = load_ontology(Path(config.reference_axioms))
+            kg, report = refine_phase(kg, reference, configs["refine"])
+            save("refine", kg, report,
+                 removed_threshold=len(report["removed_by_threshold"]),
+                 removed_lof=len(report["removed_by_lof"]),
+                 removed_implausible=len(report["removed_implausible"]),
+                 removed_disconnected=len(report["removed_disconnected"]),
+                 kept=report["kept"])
 
-    with timed("correct"):
-        kg, report = correct_phase(kg, reference, configs["correct"], config.reference_facts)
-        save("correct", kg, report, violations=len(report["violations"]),
-             deleted=len(report["deleted"]), replaced=len(report["replaced"]))
+        with timed("correct"):
+            kg, report = correct_phase(kg, reference, configs["correct"], config.reference_facts)
+            save("correct", kg, report, violations=len(report["violations"]),
+                 deleted=len(report["deleted"]), replaced=len(report["replaced"]))
 
-    with timed("complete"):
-        kg, report = complete_phase(
-            kg, configs["complete"], config.train_extra,
-            sim_threshold=configs["correct"].sim_threshold,
-        )
-        save("complete", kg, report, predicted=report["predicted_count"])
+        with timed("complete"):
+            kg, report = complete_phase(
+                kg, configs["complete"], config.train_extra,
+                sim_threshold=configs["correct"].sim_threshold,
+            )
+            save("complete", kg, report, predicted=report["predicted_count"])
 
-    with timed("map"):
-        kg, report = map_phase(kg, load_ontology(Path(config.domain_ontology)))
-        save("map", kg, report, epsilon_total=report["epsilon_total"],
-             removed=len(report["removed"]), retained=report["retained"])
+        with timed("map"):
+            kg, report = map_phase(kg, load_ontology(Path(config.domain_ontology)))
+            save("map", kg, report, epsilon_total=report["epsilon_total"],
+                 removed=len(report["removed"]), retained=report["retained"])
+    except Exception:
+        _join("clean", *child)  # a failed clean is raised first, in phase order
+        raise
+    except BaseException:  # KeyboardInterrupt, SystemExit: stop cleaning too
+        import signal  # only here: its enums cost every run ~40 KiB at import
+
+        os.kill(child[0], signal.SIGKILL)
+        _reap(*child)
+        raise
+    counts["clean"], timing["clean"] = _join("clean", *child)
 
     manifest = {
         "config_hash": config.config_hash(),

@@ -130,12 +130,18 @@ def parse_term(text: str) -> Term:
 
 def _interner():
     """A `Term` constructor that returns one shared term per distinct
-    (kind, value, datatype, language) over all its calls."""
-    terms: dict[tuple, Term] = {}
+    (kind, value, datatype, language) over all its calls.  A term with
+    neither datatype nor language tag is keyed by its value alone, in one
+    dict per kind, so only tagged literals cost a key tuple."""
+    by_kind: dict[str, dict[str, Term]] = {"iri": {}, "blank": {}, "literal": {}}
+    tagged: dict[tuple, Term] = {}
 
     def term(kind: str, value: str, datatype: str | None = None,
              language: str | None = None) -> Term:
-        key = (kind, value, datatype, language)
+        if datatype is None and language is None and kind in by_kind:
+            terms, key = by_kind[kind], value
+        else:
+            terms, key = tagged, (kind, value, datatype, language)
         t = terms.get(key)
         if t is None:
             t = terms[key] = Term(kind, value, datatype, language)

@@ -1,7 +1,9 @@
 import argparse
 import inspect
 import json
+import os
 import shutil
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -198,7 +200,10 @@ class TestRunArtifacts:
         timing = json.loads((Path(config.output_dir) / "timing.json").read_text())
         assert set(timing) == set(pipeline.PHASES) | {"total"}
         assert all(isinstance(v, float) and v >= 0 and v == round(v, 6) for v in timing.values())
-        assert timing["total"] >= sum(timing[phase] for phase in pipeline.PHASES) - 1e-5
+        # clean runs beside the graph phases, which run one after another
+        graph = sum(timing[phase] for phase in pipeline.PHASES if phase != "clean")
+        assert timing["total"] >= graph - 1e-5
+        assert timing["total"] >= timing["clean"]
 
     def test_monotone_counts_until_completion(self, pipeline_run):
         config, _ = pipeline_run
@@ -359,6 +364,107 @@ class TestEmptyInputs:
         assert (tmp_path / "out" / "ontology.nt").read_bytes() == b""
         assert result.manifest["phases"]["ingest"]["statements"] == 0
         assert result.manifest["phases"]["map"]["retained"] == 0
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children `os.fork` starts during the test."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def spy() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def _demo_copy(src: Path, tmp: Path) -> pipeline.PipelineConfig:
+    """The demo config over a copy of its inputs in `tmp/work`, trained
+    for one epoch, output under `tmp/out`."""
+    work = tmp / "work"
+    shutil.copytree(src, work, ignore=shutil.ignore_patterns("out"))
+    config = pipeline.PipelineConfig.from_file(work / "pipeline.yaml")
+    config.train_options = {**config.train_options, "epochs": 1}
+    config.output_dir = tmp / "out"
+    return config
+
+
+class TestForkedClean:
+    def test_clean_failure_is_raised_and_writes_no_manifest(self, tmp_path, pipeline_fixture_dir,
+                                                            forked):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        (config.corpus_dir / "broken.txt").write_bytes(b"caf\xe9 \xff\xfe\n")
+        with pytest.raises(pipeline.PhaseError) as caught:
+            pipeline.run(config)
+        assert caught.value.phase == "clean"
+        assert isinstance(caught.value.cause, cleaning.CleanError)
+        assert "broken.txt" in str(caught.value.cause)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        _assert_reaped(forked)
+
+    def test_graph_failure_waits_for_the_whole_clean(self, tmp_path, pipeline_fixture_dir, forked):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        config.reference_facts.write_text("garbage here\n", encoding="utf-8")
+        with pytest.raises(pipeline.PhaseError) as caught:
+            pipeline.run(config)
+        assert caught.value.phase == "correct"
+        _assert_reaped(forked)
+        expected = tmp_path / "expected"
+        cleaning.clean_directory(config.corpus_dir, expected, config.phase_configs()["clean"])
+        for name in ("sentences.jsonl", "summary.json"):
+            got = (tmp_path / "out" / pipeline.ARTIFACTS["clean"] / name).read_bytes()
+            assert got == (expected / name).read_bytes()
+
+    def test_clean_child_exit_status_is_reported(self, tmp_path, pipeline_fixture_dir, forked,
+                                                 monkeypatch):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        monkeypatch.setattr(pipeline, "clean_phase", lambda *args: os._exit(3))
+        with pytest.raises(pipeline.PhaseError) as caught:
+            pipeline.run(config)
+        assert caught.value.phase == "clean"
+        assert "status 3" in str(caught.value.cause)
+        _assert_reaped(forked)
+
+    def test_clean_failure_comes_before_a_graph_failure(self, tmp_path, pipeline_fixture_dir,
+                                                        forked, monkeypatch):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        config.reference_facts.write_text("garbage here\n", encoding="utf-8")
+        monkeypatch.setattr(pipeline, "clean_phase", lambda *args: os._exit(3))
+        with pytest.raises(pipeline.PhaseError) as caught:
+            pipeline.run(config)
+        assert caught.value.phase == "clean"
+        _assert_reaped(forked)
+
+    def test_interrupt_stops_the_clean_child(self, tmp_path, pipeline_fixture_dir, forked,
+                                             monkeypatch):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        monkeypatch.setattr(pipeline, "clean_phase", lambda *args: time.sleep(60))
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "ingest_phase", interrupted)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run(config)
+        assert time.perf_counter() - t0 < 30
+        _assert_reaped(forked)
+
+    def test_a_result_larger_than_the_pipe_buffer_is_collected(self, forked):
+        big = "x" * (1 << 20)
+        value, seconds = pipeline._join("clean", *pipeline._fork(lambda: big))
+        assert value == big and seconds >= 0
+        _assert_reaped(forked)
 
 
 class TestRunHoldout:
@@ -613,8 +719,12 @@ class TestCli:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "seed 42" in printed
+        timing = json.loads((Path(config.output_dir) / "timing.json").read_text())
+        lines = printed.splitlines()
         for phase in pipeline.PHASES:
-            assert phase in printed
+            [line] = [ln for ln in lines if ln.split()[0] == phase]
+            assert f"{timing[phase]:.3f}s" in line
+        assert any("clean ran beside the graph phases" in ln for ln in lines)
 
     def test_validation_exit_code(self, tmp_path, pipeline_config_path):
         raw = yaml.safe_load(pipeline_config_path.read_text())

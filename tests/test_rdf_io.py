@@ -228,6 +228,17 @@ class TestInterning:
         assert a.predicate is b.predicate is c.predicate
         assert a.object != b.object  # an IRI and a literal of one value are two terms
 
+    def test_one_value_in_every_kind_and_tag_is_one_term_each(self):
+        lines = b'_:v <v> <v> .\n_:v <v> "v" .\n_:v <v> "v"@en .\n_:v <v> "v"^^<v> .\n'
+        first, diags = parse_ntriples(lines)
+        again, _ = parse_ntriples(lines * 2)
+        assert not diags
+        objects = [t.object for t in again]
+        assert len({id(o) for o in objects}) == 4 and objects[:4] == objects[4:]
+        assert all(x is y for x, y in zip(objects[:4], objects[4:]))
+        assert [t.object for t in first] == objects[:4]
+        assert again[0].subject is again[7].subject != again[0].predicate  # blank "v", IRI "v"
+
 
 class TestTurtle:
     def test_prefix_expansion(self):
@@ -402,6 +413,19 @@ class TestScratchMemory:
         (parsed, diags), peak, held = traced_peak(parse_scored_jsonl, data)
         assert len(parsed) == 20_000 and not diags
         assert peak - held < len(data) // 2  # 0.41x measured
+
+    def test_jsonl_interner_builds_no_key_tuple_per_term(self, traced_peak):
+        # every term distinct: the (kind, value, datatype, language) key
+        # tuples took 2.07x the input, value keys per kind take 0.43x
+        recs = (
+            {"s": f"urn:s{i}", "p": "urn:p", "o": f"v{i}", "o_kind": "literal", "conf": 0.9,
+             "id": f"r{i:05d}"}
+            for i in range(20_000)
+        )
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in recs).encode()
+        (parsed, diags), peak, held = traced_peak(parse_scored_jsonl, data)
+        assert len(parsed) == 20_000 and not diags
+        assert peak - held < 0.75 * len(data)
 
     def test_ntriples_writer_below_the_str_writer(self, traced_peak):
         # the str writer's f-string list, joined str and encoded copy took
