@@ -4,14 +4,21 @@ Dispatch is by format hint.  HTML pages contribute paragraph-tag text after
 ad containers are removed; RSS feeds contribute item titles and
 descriptions; XML contributes per-tag text; plain text contributes lines.
 Every retained string must pass the sentence heuristic.
-"""
+
+HTML is read tolerantly, in one pass: a new `<p>` closes an open one; an
+end tag closes everything opened after its match and is ignored if nothing
+matches; void tags (`<br>`, `<img>`, ...) and self-closed `<x/>` open
+nothing, and `<x/>` closes no `<p>`.  An element is removed with its
+subtree if its tag is structural (`STRUCTURAL_TAGS`) or if a token of its
+tag, `id` or `class` is on the denylist; a feed that is not well-formed
+XML is read the same way."""
 
 from __future__ import annotations
 
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from html.parser import HTMLParser
 from importlib import resources
@@ -149,98 +156,74 @@ def is_sentence(text: str, cfg: CleanConfig = CleanConfig()) -> bool:
 
 
 # ----------------------------------------------------------------------
-# tolerant HTML tree
+# tolerant HTML reader
 
-@dataclass
-class HtmlNode:
-    tag: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    children: list = field(default_factory=list)  # HtmlNode | str
+class _HtmlReader(HTMLParser):
+    """Reads `text` on construction, keeping every piece of `text`, each
+    element's `(tag, direct text pieces)` in document order, each kept
+    `<p>`'s text pieces outside removed subtrees, and in `removed` the
+    count of removed elements that have no removed ancestor."""
 
-
-class _TreeBuilder(HTMLParser):
-    def __init__(self) -> None:
+    def __init__(self, text: str, denylist: frozenset[str] = DEFAULT_DENYLIST) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = HtmlNode("#root")
-        self.stack = [self.root]
+        self.denylist = denylist
+        self.text: list[str] = []
+        self.elements: list[tuple[str, list[str]]] = []
+        self.paragraphs: list[list[str]] = []
+        self.removed = 0
+        self._tags: list[str] = []  # open elements, outermost first
+        self._open: list[tuple[list[str], bool]] = []  # their direct text, removed?
+        self._hidden = 0  # open elements that are removed
+        self._in_p = False
+        self.feed(text)
+        self.close()
 
     def handle_starttag(self, tag, attrs):
-        # paragraphs do not nest; a new <p> implicitly closes an open one
-        if tag == "p" and any(n.tag == "p" for n in self.stack[1:]):
-            while self.stack[-1].tag != "p":
-                self.stack.pop()
-            self.stack.pop()
-        node = HtmlNode(tag, {k: (v or "") for k, v in attrs})
-        self.stack[-1].children.append(node)
-        if tag not in _VOID_TAGS:
-            self.stack.append(node)
+        if tag == "p" and self._in_p:
+            self._close("p")
+        self._element(tag, attrs, tag not in _VOID_TAGS)
 
     def handle_startendtag(self, tag, attrs):
-        self.stack[-1].children.append(HtmlNode(tag, {k: (v or "") for k, v in attrs}))
+        self._element(tag, attrs, False)
 
     def handle_endtag(self, tag):
-        if any(n.tag == tag for n in self.stack[1:]):
-            while self.stack[-1].tag != tag:
-                self.stack.pop()
-            self.stack.pop()
+        if tag in self._tags:
+            self._close(tag)
 
     def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
+        self.text.append(data)
+        if self._open:
+            self._open[-1][0].append(data)
+        if self._in_p and not self._hidden:
+            self.paragraphs[-1].append(data)
 
+    def _element(self, tag: str, attrs, opens: bool) -> None:
+        direct: list[str] = []
+        self.elements.append((tag, direct))
+        attrs = dict(attrs)  # the last of a repeated attribute wins
+        raw = f"{tag} {attrs.get('id') or ''} {attrs.get('class') or ''}".lower()
+        hides = tag in STRUCTURAL_TAGS or not self.denylist.isdisjoint(
+            filter(None, _TOKEN_SPLIT.split(raw))
+        )
+        if hides and not self._hidden:
+            self.removed += 1
+        if opens:
+            self._tags.append(tag)
+            self._open.append((direct, hides))
+            self._hidden += hides
+            if tag == "p":
+                self._in_p = True
+                if not self._hidden:
+                    self.paragraphs.append([])
 
-def parse_html(text: str) -> HtmlNode:
-    """Parse HTML tolerantly: stray end tags are ignored, unclosed tags
-    are closed when an ancestor closes."""
-    builder = _TreeBuilder()
-    builder.feed(text)
-    builder.close()
-    return builder.root
-
-
-def _attr_tokens(node: HtmlNode) -> set[str]:
-    raw = " ".join((node.tag, node.attrs.get("id", ""), node.attrs.get("class", "")))
-    return {tok for tok in _TOKEN_SPLIT.split(raw.lower()) if tok}
-
-
-def strip_ad_containers(node: HtmlNode, denylist: frozenset[str] = DEFAULT_DENYLIST) -> tuple[HtmlNode, int]:
-    """Copy the tree without structural boilerplate and denylisted subtrees.
-
-    Returns the pruned copy and the number of removed subtrees.
-    """
-    removed = 0
-    copy = HtmlNode(node.tag, dict(node.attrs))
-    for child in node.children:
-        if isinstance(child, str):
-            copy.children.append(child)
-            continue
-        if child.tag in STRUCTURAL_TAGS or _attr_tokens(child) & denylist:
-            removed += 1
-            continue
-        kept, sub_removed = strip_ad_containers(child, denylist)
-        removed += sub_removed
-        copy.children.append(kept)
-    return copy, removed
-
-
-def node_text(node: HtmlNode) -> str:
-    parts = []
-    for child in node.children:
-        if isinstance(child, str):
-            parts.append(child)
-        else:
-            parts.append(node_text(child))
-    return "".join(parts)
-
-
-def _find_tags(node: HtmlNode, tag: str) -> list[HtmlNode]:
-    out = []
-    for child in node.children:
-        if isinstance(child, HtmlNode):
-            if child.tag == tag:
-                out.append(child)
-            out.extend(_find_tags(child, tag))
-    return out
+    def _close(self, tag: str) -> None:
+        while True:
+            top = self._tags.pop()
+            self._hidden -= self._open.pop()[1]
+            if top == "p":
+                self._in_p = False
+            if top == tag:
+                return
 
 
 def _normalize(text: str) -> str:
@@ -251,7 +234,7 @@ def _strip_markup(text: str) -> str:
     """Flatten embedded HTML (e.g. inside RSS descriptions) to plain text."""
     if "<" not in text:
         return _normalize(text)
-    return _normalize(node_text(parse_html(text)))
+    return _normalize("".join(_HtmlReader(text).text))
 
 
 # ----------------------------------------------------------------------
@@ -261,22 +244,13 @@ def _strip_markup(text: str) -> str:
 # removed ad/boilerplate containers; `clean` applies the sentence filter.
 
 def _clean_html(text: str, cfg: CleanConfig) -> tuple[list[str], int]:
-    tree, removed = strip_ad_containers(parse_html(text), cfg.denylist)
-    segments = [_normalize(node_text(p)) for p in _find_tags(tree, "p")]
-    return [s for s in segments if s], removed
+    reader = _HtmlReader(text, cfg.denylist)
+    segments = [_normalize("".join(p)) for p in reader.paragraphs]
+    return [s for s in segments if s], reader.removed
 
 
 def _strip_ns(tag: str) -> str:
     return tag.rsplit("}", 1)[-1].lower()
-
-
-def _html_elements(node: HtmlNode):
-    """(tag, direct text) pairs under a tolerant HTML tree: the fallback
-    walker for a malformed feed or document."""
-    for child in node.children:
-        if isinstance(child, HtmlNode):
-            yield child.tag, "".join(c for c in child.children if isinstance(c, str))
-            yield from _html_elements(child)
 
 
 def _iter_xml_elements(text: str):
@@ -287,8 +261,8 @@ def _iter_xml_elements(text: str):
         root = ET.fromstring(text)
     except ET.ParseError:
         seen_item = False
-        for tag, content in _html_elements(parse_html(text)):
-            yield tag, content, seen_item
+        for tag, direct in _HtmlReader(text).elements:
+            yield tag, "".join(direct), seen_item
             seen_item = seen_item or tag == "item"
         return
     stack = [(root, False)]

@@ -328,9 +328,7 @@ def correct_phase(
     """Correct against the reference axioms, first adding the N-Triples
     `reference_facts` to the reference schema's facts."""
     if reference_facts is not None:
-        facts, diags = parse_ntriples(Path(reference_facts).read_bytes())
-        if diags:
-            raise ValueError(f"reference facts {reference_facts}: {len(diags)} unparseable lines")
+        facts = _parse_or_raise(Path(reference_facts), parse_ntriples)
         reference = replace(reference, facts=reference.facts | set(facts))
     kg, report = correction.correct(kg, reference, cfg)
     return kg, {

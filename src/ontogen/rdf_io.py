@@ -242,34 +242,9 @@ _TTL_TOKEN = re.compile(
     re.VERBOSE,
 )
 
-
-def _strip_ttl_comment(line: str) -> str:
-    out = []
-    in_literal = False
-    in_iri = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_literal:
-            if c == "\\" and i + 1 < len(line):
-                out.append(line[i : i + 2])
-                i += 2
-                continue
-            if c == '"':
-                in_literal = False
-        elif in_iri:
-            if c == ">":
-                in_iri = False
-        else:
-            if c == '"':
-                in_literal = True
-            elif c == "<":
-                in_iri = True
-            elif c == "#":
-                break
-        out.append(c)
-        i += 1
-    return "".join(out)
+#: a line up to its first `#` outside a literal or IRI (either may be
+#: unterminated; a backslash escapes the next character of a literal)
+_TTL_BEFORE_COMMENT = re.compile(r'(?:[^"<#]|"(?:[^"\\]|\\.|\\$)*"?|<[^>]*>?)*')
 
 
 def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
@@ -331,7 +306,7 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
             diagnostics.append(Diagnostic(first_line, str(exc)))
 
     for lineno, raw in _lines(data, "Turtle input"):
-        line = _strip_ttl_comment(raw).strip()
+        line = _TTL_BEFORE_COMMENT.match(raw).group(0).strip()
         if not line:
             continue
         pm = _PREFIX_LINE.match(line)

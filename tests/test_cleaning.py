@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ontogen.cleaning import (
+    DEFAULT_DENYLIST,
+    STRUCTURAL_TAGS,
     CleanConfig,
     CleanError,
     RawDocument,
+    _clean_html,
     clean,
     clean_directory,
     is_sentence,
     load_denylist,
-    parse_html,
     read_list,
-    strip_ad_containers,
 )
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -77,17 +78,18 @@ class TestIsSentence:
 
 class TestStripAdContainers:
     def test_denylisted_class_removed(self):
-        tree = parse_html('<div><div class="ads"><p>Buy now today please.</p></div><p>Keep me here now.</p></div>')
-        stripped, removed = strip_ad_containers(tree)
+        html = '<div><div class="ads"><p>Buy now today please.</p></div><p>Keep me here now.</p></div>'
+        paragraphs, removed = _clean_html(html, CleanConfig())
         assert removed == 1
-        text = _flat_text(stripped)
+        text = " ".join(paragraphs)
         assert "Buy now" not in text and "Keep me" in text
 
     def test_tree_without_matches_unchanged(self):
-        tree = parse_html("<div><p>Nothing suspicious appears here today.</p></div>")
-        stripped, removed = strip_ad_containers(tree)
+        paragraphs, removed = _clean_html(
+            "<div><p>Nothing suspicious appears here today.</p></div>", CleanConfig()
+        )
         assert removed == 0
-        assert _flat_text(stripped) == _flat_text(tree)
+        assert paragraphs == ["Nothing suspicious appears here today."]
 
     def test_nested_ad_inside_article(self):
         html = (
@@ -95,22 +97,93 @@ class TestStripAdContainers:
             '<div id="promo-box"><p>Limited offer, subscribe now.</p></div>'
             "<p>Second paragraph stays as well.</p></article>"
         )
-        stripped, removed = strip_ad_containers(parse_html(html))
+        paragraphs, removed = _clean_html(html, CleanConfig())
         assert removed == 1
-        text = _flat_text(stripped)
+        text = " ".join(paragraphs)
         assert "First paragraph" in text and "Second paragraph" in text
         assert "Limited offer" not in text
 
     def test_structural_tags_removed(self):
-        tree = parse_html("<body><script>x()</script><nav>menu</nav><p>Real text stays here.</p></body>")
-        stripped, removed = strip_ad_containers(tree)
+        html = "<body><script>x()</script><nav>menu</nav><p>Real text stays here.</p></body>"
+        paragraphs, removed = _clean_html(html, CleanConfig())
         assert removed == 2
+        assert paragraphs == ["Real text stays here."]
 
 
-def _flat_text(node) -> str:
-    from ontogen.cleaning import node_text
+# a generated tree is a list of children, each a text or a (tag, class,
+# children) element; no <p> sits inside another, so HTML reads it as built
+_TEXT = st.text(alphabet="ab \n", min_size=1, max_size=5)
+_CLASSES = st.sampled_from(["", "story", "ad", "main promo", "x-Sponsored", "social share"])
 
-    return node_text(node)
+
+@st.composite
+def _html_trees(draw, depth=0, in_p=False):
+    tags = ["div", "span", "b", "section", "nav", "footer", "banner"] + ([] if in_p else ["p"])
+    children = []
+    for _ in range(draw(st.integers(0, 3 if depth < 4 else 0))):
+        if draw(st.booleans()):
+            children.append(draw(_TEXT))
+        else:
+            tag = draw(st.sampled_from(tags))
+            sub = draw(_html_trees(depth + 1, in_p or tag == "p"))
+            children.append((tag, draw(_CLASSES), sub))
+    return children
+
+
+def _render(children) -> str:
+    return "".join(
+        c if isinstance(c, str) else f'<{c[0]} class="{c[1]}">{_render(c[2])}</{c[0]}>'
+        for c in children
+    )
+
+
+def _oracle(children) -> tuple[list[str], int]:
+    """(paragraphs, removed) of a generated tree, read recursively."""
+    paragraphs: list[str] = []
+    removed = 0
+
+    def removes(tag, cls, _):
+        tokens = set(re.findall("[a-z0-9]+", f"{tag} {cls}".lower()))
+        return tag in STRUCTURAL_TAGS or bool(tokens & DEFAULT_DENYLIST)
+
+    def text(children):
+        return "".join(
+            c if isinstance(c, str) else "" if removes(*c) else text(c[2]) for c in children
+        )
+
+    def walk(children):
+        nonlocal removed
+        for c in children:
+            if isinstance(c, str):
+                continue
+            if removes(*c):
+                removed += 1
+                continue
+            if c[0] == "p":
+                paragraphs.append(" ".join(text(c[2]).split()))
+            walk(c[2])
+
+    walk(children)
+    return [p for p in paragraphs if p], removed
+
+
+class TestTolerantHtml:
+    @pytest.mark.parametrize("html, paragraphs, removed", [
+        ("<p>One <b>two<p>Three", ["One two", "Three"], 0),
+        ("<p>Alpha</div> beta</p>", ["Alpha beta"], 0),
+        ("<p>Outer<p/>tail</p>", ["Outertail"], 0),
+        ('<p>Keep <span class="ad">drop</span> this</p>', ["Keep this"], 1),
+        ('<p>Text<img class="banner"> more</p>', ["Text more"], 1),
+        ('<div class="ad" class="story"><p>Shown?</p></div>', ["Shown?"], 0),
+        ('<nav><div class="ads"><p>x</p></div></nav><p>y</p>', ["y"], 1),
+        ('<p>a<div class="ad">b<p>c</p>', ["a", "c"], 1),
+    ])
+    def test_tag_soup(self, html, paragraphs, removed):
+        assert _clean_html(html, CleanConfig()) == (paragraphs, removed)
+
+    @given(_html_trees())
+    def test_well_formed_tree_matches_a_recursive_oracle(self, children):
+        assert _clean_html(_render(children), CleanConfig()) == _oracle(children)
 
 
 class TestClean:

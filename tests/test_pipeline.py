@@ -542,6 +542,19 @@ class TestCorrectPhase:
         pipeline.correct_phase(KnowledgeGraph(), reference, correction.CorrectionConfig(), facts)
         assert reference.facts == before
 
+    def test_bad_reference_facts_name_the_file_and_its_first_bad_line(
+        self, tmp_path, pipeline_fixture_dir, forked
+    ):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        good = config.reference_facts.read_text(encoding="utf-8").splitlines()[0]
+        config.reference_facts.write_text(f"{good}\ngarbage here\nmore\n", encoding="utf-8")
+        with pytest.raises(pipeline.PhaseError) as caught:
+            pipeline.run(config)
+        assert caught.value.phase == "correct"
+        assert f"{config.reference_facts}:2: " in str(caught.value)
+        assert str(caught.value).endswith("(+1 more)")
+        _assert_reaped(forked)
+
 
 class TestCompletePhase:
     def test_report_counts_the_training_split_and_keeps_the_loss_curve(self):

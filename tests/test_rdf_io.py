@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from ontogen.model import KnowledgeGraph, ScoredTriple, Term, Triple
 from ontogen.rdf_io import (
     _NEEDS_ESCAPE,
+    _TTL_BEFORE_COMMENT,
     _escape_char,
     _escape_literal,
     Diagnostic,
@@ -276,6 +277,18 @@ class TestTurtle:
         parsed, diags = parse_turtle(data)
         assert not diags
         assert parsed[0].object.value == "http://other.example/x#frag"
+
+    @pytest.mark.parametrize("line, kept", [
+        ('<http://e/a#b> <http://e/p> "v" . # note', '<http://e/a#b> <http://e/p> "v" . '),
+        ('e:s e:p "a # b" .', 'e:s e:p "a # b" .'),
+        (r'e:s e:p "say \"#hi\" now" . # c', r'e:s e:p "say \"#hi\" now" . '),
+        ('e:s e:p "open # all literal', 'e:s e:p "open # all literal'),
+        ("e:s e:p <http://e/open#all-iri", "e:s e:p <http://e/open#all-iri"),
+        ('e:s e:p "ends in \\', 'e:s e:p "ends in \\'),
+        ("e:s e:p \\# c", "e:s e:p \\"),
+    ])
+    def test_comment_starts_at_the_first_hash_outside_a_literal_or_iri(self, line, kept):
+        assert _TTL_BEFORE_COMMENT.match(line).group(0) == kept
 
     @pytest.mark.parametrize("literal", [r'"bad\q"', r'"x\u12"', '"x"@en-'])
     def test_bad_literal_is_a_diagnostic_as_in_ntriples(self, literal):
