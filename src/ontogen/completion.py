@@ -116,7 +116,7 @@ def score(model: EmbeddingModel, h: Term, r: Term, t: Term) -> float:
     hi = np.array([model.entity_row(h)])
     ri = np.array([model.relation_row(r)])
     ti = np.array([model.entity_row(t)])
-    return float(_core(model, hi, ri, ti)[0][0])
+    return float(_core(model, hi, ri, ti, _workspace(1, model.dimension))[0][0])
 
 
 def _all_tail_scores(
@@ -154,54 +154,100 @@ class _Step:
     relation_im: np.ndarray
 
 
+def _workspace(rows: int, d: int) -> np.ndarray:
+    """Scratch for `_core` on batches of up to `rows` triples: twelve
+    rows x d float64 blocks, reused by every call."""
+    return np.empty((12 * rows, d))
+
+
+def _pair(out, a, b, op, c, d, scratch) -> np.ndarray:
+    """out = op(a * b, c * d), the second product formed in `scratch`."""
+    np.multiply(a, b, out=out)
+    return op(out, np.multiply(c, d, out=scratch), out=out)
+
+
 def _core(
-    m: EmbeddingModel, h, r, t, y: np.ndarray | None = None, lam: float = 0.0
+    m: EmbeddingModel, h, r, t, ws: np.ndarray, y: np.ndarray | None = None, lam: float = 0.0
 ) -> tuple[np.ndarray, _Step | None]:
     """Scores for index arrays and, given labels `y` (+1/-1), the logistic
     step: the data loss sum(log(1 + exp(-y f))), L2 on the distinct rows
-    touched, and the gradient of loss + L2 on exactly those rows."""
-    h_re, h_im = m.entity_re[h], m.entity_im[h]
-    t_re, t_im = m.entity_re[t], m.entity_im[t]
-    r_re, r_im = m.relation_re[r], m.relation_im[r]
-    f = (r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)).sum(axis=-1)
+    touched, and the gradient of loss + L2 on exactly those rows.
+
+    Every batch-sized array lives in the `_workspace` `ws`, whose blocks are
+    [h_re|h_im|t_re|t_im], [r_re|r_im], the two h.t products f and the
+    relation gradient share, and [e_re|e_im] at two rows per triple for the
+    head and tail entity gradients; a block is reused as scratch once dead.
+    Only vectors of one value per triple and the returned rows and sums
+    are allocated."""
+    n, cap = len(h), len(ws) // 12
+    h_re, h_im, t_re, t_im, r_re, r_im, ht_re, ht_im = (
+        ws[i * cap : i * cap + n] for i in range(8)
+    )
+    e_re, e_im = ws[8 * cap : 8 * cap + 2 * n], ws[10 * cap : 10 * cap + 2 * n]
+    # ids are always valid rows; "clip" skips the copy "raise" makes of `out`
+    for src, ids, out in (
+        (m.entity_re, h, h_re), (m.entity_im, h, h_im), (m.entity_re, t, t_re),
+        (m.entity_im, t, t_im), (m.relation_re, r, r_re), (m.relation_im, r, r_im),
+    ):
+        np.take(src, ids, axis=0, out=out, mode="clip")
+    _pair(ht_re, h_re, t_re, np.add, h_im, t_im, ht_im)
+    _pair(ht_im, h_re, t_im, np.subtract, h_im, t_re, e_re[:n])
+    f = _pair(e_re[:n], r_re, ht_re, np.add, r_im, ht_im, e_im[:n]).sum(axis=-1)
     if y is None:
         return f, None
     w = (-y * _sigmoid(-y * f))[:, None]
 
+    # entity rows take the head contributions, then the tail contributions;
+    # each product's scratch is a block not yet written, the last one t_re
+    for out, a, b, op, c, d, scratch in (
+        (e_re[:n], r_re, t_re, np.add, r_im, t_im, e_im[:n]),
+        (e_im[:n], r_re, t_im, np.subtract, r_im, t_re, e_re[n:]),
+        (e_re[n:], r_re, h_re, np.subtract, r_im, h_im, e_im[n:]),
+        (e_im[n:], r_re, h_im, np.add, r_im, h_re, t_re),
+    ):
+        np.multiply(_pair(out, a, b, op, c, d, scratch), w, out=out)
+    np.multiply(ht_re, w, out=ht_re)
+    np.multiply(ht_im, w, out=ht_im)
+
     # one sort per parameter kind, shared by its real and imaginary parts;
-    # entity rows take the head contributions, then the tail contributions
+    # the entity rows sort into the dead h/t blocks, the relation rows into
+    # the e block once the entity sums are taken
     ue, ge_re, ge_im = _row_sums(
-        np.concatenate([h, t]),
-        np.concatenate([w * (r_re * t_re + r_im * t_im), w * (r_re * h_re - r_im * h_im)]),
-        np.concatenate([w * (r_re * t_im - r_im * t_re), w * (r_re * h_im + r_im * h_re)]),
+        np.concatenate([h, t]), e_re, e_im, into=(ws[: 2 * n], ws[2 * n : 4 * n])
     )
-    ur, gr_re, gr_im = _row_sums(
-        r, w * (h_re * t_re + h_im * t_im), w * (h_re * t_im - h_im * t_re)
-    )
+    ur, gr_re, gr_im = _row_sums(r, ht_re, ht_im, into=(e_re[:n], e_re[n:]))
 
     l2 = 0.0
     if lam > 0:
-        l2 = lam * float(
-            (m.entity_re[ue] ** 2).sum()
-            + (m.entity_im[ue] ** 2).sum()
-            + (m.relation_re[ur] ** 2).sum()
-            + (m.relation_im[ur] ** 2).sum()
-        )
-        ge_re += 2 * lam * m.entity_re[ue]
-        ge_im += 2 * lam * m.entity_im[ue]
-        gr_re += 2 * lam * m.relation_re[ur]
-        gr_im += 2 * lam * m.relation_im[ur]
+        squares = []
+        for rows, params, grad in (
+            (ue, m.entity_re, ge_re), (ue, m.entity_im, ge_im),
+            (ur, m.relation_re, gr_re), (ur, m.relation_im, gr_im),
+        ):
+            x = np.take(params, rows, axis=0, out=ws[: len(rows)], mode="clip")
+            squares.append(np.square(x, out=ws[2 * cap : 2 * cap + len(rows)]).sum())
+            np.add(grad, np.multiply(x, 2 * lam, out=x), out=grad)
+        l2 = lam * float(squares[0] + squares[1] + squares[2] + squares[3])
     loss = float(np.logaddexp(0.0, -y * f).sum())
     return f, _Step(loss, l2, ue, ge_re, ge_im, ur, gr_re, gr_im)
 
 
-def _row_sums(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+def _row_sums(
+    ids: np.ndarray, *values: np.ndarray, into: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, ...]:
     """The distinct ids, ascending, then for each array in `values` the
-    per-id sums of its rows: one stable sort, then segment sums."""
-    order = np.argsort(ids, kind="stable")
+    per-id sums of its rows: one stable sort, then segment sums.  The
+    sorted copy of values[i] is written to into[i] when given.  Ids below
+    65,536 sort as uint16 keys, which numpy radix-sorts into the same
+    permutation."""
+    keys = ids.astype(np.uint16) if ids.max() < 1 << 16 else ids
+    order = np.argsort(keys, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    return ids[starts], *(np.add.reduceat(v[order], starts, axis=0) for v in values)
+    return ids[starts], *(
+        np.add.reduceat(np.take(v, order, axis=0, out=out, mode="clip"), starts, axis=0)
+        for v, out in zip(values, into or [None] * len(values))
+    )
 
 
 @dataclass
@@ -235,7 +281,8 @@ def loss_and_gradient(
     r = np.array([model.relation_row(t.predicate) for t, _ in batch])
     t_ = np.array([model.entity_row(t.object) for t, _ in batch])
 
-    _, step = _core(model, h, r, t_, labels, cfg.l2_lambda)
+    ws = _workspace(len(batch), model.dimension)
+    _, step = _core(model, h, r, t_, ws, labels, cfg.l2_lambda)
     loss = step.loss + step.l2
 
     grads = Gradients(
@@ -371,6 +418,8 @@ def train(triples: list[Triple], cfg: TrainConfig = TrainConfig()) -> EmbeddingM
         np.zeros_like(e_re), np.zeros_like(e_im), np.zeros_like(r_re), np.zeros_like(r_im)
     )
     lam, lr = cfg.l2_lambda, cfg.learning_rate
+    # every batch is at most this many triples: the positives plus their negatives
+    ws = _workspace(min(cfg.batch_size, len(pos)) * (1 + cfg.negatives_per_positive), cfg.dimension)
 
     for _epoch in range(cfg.epochs):
         order = rng.permutation(len(pos))
@@ -384,7 +433,7 @@ def train(triples: list[Triple], cfg: TrainConfig = TrainConfig()) -> EmbeddingM
             r = np.concatenate([batch_pos[:, 1], negs[:, 2]])
             t = np.concatenate([batch_pos[:, 2], negs[:, 3]])
             y = np.concatenate([np.ones(len(batch_pos)), -np.ones(len(negs))])
-            f, step = _core(model, h, r, t, y, lam)
+            f, step = _core(model, h, r, t, ws, y, lam)
             epoch_loss += step.loss
             epoch_loss += step.l2
             examples += len(f)

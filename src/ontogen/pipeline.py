@@ -195,7 +195,8 @@ class PipelineConfig:
 
 
 def _parse_or_raise(path: Path, parse):
-    triples, diags = parse(path.read_bytes())
+    with open(path, "rb") as fh:
+        triples, diags = parse(fh)
     if diags:
         first = diags[0]
         raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
@@ -282,7 +283,8 @@ def clean_phase(corpus_dir: Path | None, cleaned_dir: Path, cfg: cleaning.CleanC
 
 
 def ingest_phase(scored_triples: Path) -> tuple[KnowledgeGraph, dict]:
-    statements, diags = parse_scored_jsonl(Path(scored_triples).read_bytes())
+    with open(scored_triples, "rb") as fh:
+        statements, diags = parse_scored_jsonl(fh)
     kg = KnowledgeGraph()
     for st in statements:
         kg.add(st)
