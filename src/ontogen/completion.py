@@ -155,9 +155,9 @@ class _Step:
 
 
 def _workspace(rows: int, d: int) -> np.ndarray:
-    """Scratch for `_core` on batches of up to `rows` triples: twelve
+    """Scratch for `_core` on batches of up to `rows` triples: ten
     rows x d float64 blocks, reused by every call."""
-    return np.empty((12 * rows, d))
+    return np.empty((10 * rows, d))
 
 
 def _pair(out, a, b, op, c, d, scratch) -> np.ndarray:
@@ -174,28 +174,34 @@ def _core(
     touched, and the gradient of loss + L2 on exactly those rows.
 
     Every batch-sized array lives in the `_workspace` `ws`, whose blocks are
-    [h_re|h_im|t_re|t_im], [r_re|r_im], the two h.t products f and the
-    relation gradient share, and [e_re|e_im] at two rows per triple for the
-    head and tail entity gradients; a block is reused as scratch once dead.
-    Only vectors of one value per triple and the returned rows and sums
-    are allocated."""
-    n, cap = len(h), len(ws) // 12
-    h_re, h_im, t_re, t_im, r_re, r_im, ht_re, ht_im = (
-        ws[i * cap : i * cap + n] for i in range(8)
-    )
-    e_re, e_im = ws[8 * cap : 8 * cap + 2 * n], ws[10 * cap : 10 * cap + 2 * n]
+    [h_re|h_im|t_re|t_im], [r_re|r_im] and [e_re|e_im] at two rows per
+    triple.  e_re first holds the two h.t products that f and the relation
+    gradient share, then, once the relation sums are taken, the head and
+    tail entity gradients; a block is reused as scratch once dead.  Only
+    vectors of one value per triple and the returned rows and sums are
+    allocated."""
+    n, cap = len(h), len(ws) // 10
+    h_re, h_im, t_re, t_im, r_re, r_im = (ws[i * cap : i * cap + n] for i in range(6))
+    e_re, e_im = ws[6 * cap : 6 * cap + 2 * n], ws[8 * cap : 8 * cap + 2 * n]
+    ht_re, ht_im = e_re[:n], e_re[n:]
     # ids are always valid rows; "clip" skips the copy "raise" makes of `out`
     for src, ids, out in (
         (m.entity_re, h, h_re), (m.entity_im, h, h_im), (m.entity_re, t, t_re),
         (m.entity_im, t, t_im), (m.relation_re, r, r_re), (m.relation_im, r, r_im),
     ):
         np.take(src, ids, axis=0, out=out, mode="clip")
-    _pair(ht_re, h_re, t_re, np.add, h_im, t_im, ht_im)
-    _pair(ht_im, h_re, t_im, np.subtract, h_im, t_re, e_re[:n])
-    f = _pair(e_re[:n], r_re, ht_re, np.add, r_im, ht_im, e_im[:n]).sum(axis=-1)
+    _pair(ht_re, h_re, t_re, np.add, h_im, t_im, e_im[:n])
+    _pair(ht_im, h_re, t_im, np.subtract, h_im, t_re, e_im[:n])
+    f = _pair(e_im[:n], r_re, ht_re, np.add, r_im, ht_im, e_im[n:]).sum(axis=-1)
     if y is None:
         return f, None
     w = (-y * _sigmoid(-y * f))[:, None]
+
+    # one sort per parameter kind, shared by its real and imaginary parts;
+    # the relation rows sort into the dead e_im
+    np.multiply(ht_re, w, out=ht_re)
+    np.multiply(ht_im, w, out=ht_im)
+    ur, gr_re, gr_im = _row_sums(r, ht_re, ht_im, into=(e_im[:n], e_im[n:]))
 
     # entity rows take the head contributions, then the tail contributions;
     # each product's scratch is a block not yet written, the last one t_re
@@ -206,16 +212,10 @@ def _core(
         (e_im[n:], r_re, h_im, np.add, r_im, h_re, t_re),
     ):
         np.multiply(_pair(out, a, b, op, c, d, scratch), w, out=out)
-    np.multiply(ht_re, w, out=ht_re)
-    np.multiply(ht_im, w, out=ht_im)
-
-    # one sort per parameter kind, shared by its real and imaginary parts;
-    # the entity rows sort into the dead h/t blocks, the relation rows into
-    # the e block once the entity sums are taken
+    # the entity rows sort into the dead h/t blocks
     ue, ge_re, ge_im = _row_sums(
         np.concatenate([h, t]), e_re, e_im, into=(ws[: 2 * n], ws[2 * n : 4 * n])
     )
-    ur, gr_re, gr_im = _row_sums(r, ht_re, ht_im, into=(e_re[:n], e_re[n:]))
 
     l2 = 0.0
     if lam > 0:
@@ -237,11 +237,8 @@ def _row_sums(
 ) -> tuple[np.ndarray, ...]:
     """The distinct ids, ascending, then for each array in `values` the
     per-id sums of its rows: one stable sort, then segment sums.  The
-    sorted copy of values[i] is written to into[i] when given.  Ids below
-    65,536 sort as uint16 keys, which numpy radix-sorts into the same
-    permutation."""
-    keys = ids.astype(np.uint16) if ids.max() < 1 << 16 else ids
-    order = np.argsort(keys, kind="stable")
+    sorted copy of values[i] is written to into[i] when given."""
+    order = np.argsort(ids, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     return ids[starts], *(

@@ -195,8 +195,7 @@ class PipelineConfig:
 
 
 def _parse_or_raise(path: Path, parse):
-    with open(path, "rb") as fh:
-        triples, diags = parse(fh)
+    triples, diags = parse(path.read_bytes())
     if diags:
         first = diags[0]
         raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
@@ -283,8 +282,7 @@ def clean_phase(corpus_dir: Path | None, cleaned_dir: Path, cfg: cleaning.CleanC
 
 
 def ingest_phase(scored_triples: Path) -> tuple[KnowledgeGraph, dict]:
-    with open(scored_triples, "rb") as fh:
-        statements, diags = parse_scored_jsonl(fh)
+    statements, diags = parse_scored_jsonl(Path(scored_triples).read_bytes())
     kg = KnowledgeGraph()
     for st in statements:
         kg.add(st)

@@ -3,9 +3,8 @@ line-delimited scored-triple ingestion format, and DOT export.
 
 Parsers never raise on malformed content; bad lines become diagnostics and
 are skipped.  The one hard error is input that does not decode as UTF-8.
-Every reader takes bytes or an open binary file and frames its input the
-same way: lines end at "\n" (one "\r" before it is dropped), and are read
-and decoded one at a time, so a Unicode line
+Every reader frames its input the same way: lines end at "\n" (one "\r"
+before it is dropped), and are decoded one at a time, so a Unicode line
 separator inside a literal or JSON string stays part of its line.
 
 Each parse call interns its terms: every distinct (kind, value, datatype,
@@ -20,7 +19,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .model import KnowledgeGraph, ModelError, ScoredTriple, Term, Triple, RDF_TYPE
 
@@ -158,24 +157,20 @@ def _decode(data: bytes, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def _lines(data: bytes | BinaryIO, what: str) -> Iterator[tuple[int, str]]:
-    """The numbered lines of `data`, bytes or a seekable binary file read
-    from its start: split on b"\n" only, one trailing "\r" dropped, each
-    decoded as UTF-8 on its own.  Undecodable input raises the `_decode`
-    error for the whole input, reread from the start, so its offset counts
-    from there."""
-    source = data if hasattr(data, "read") else io.BytesIO(data)
-    for lineno, raw in enumerate(source, start=1):
+def _lines(data: bytes, what: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of `data`: split on b"\n" only, one trailing "\r"
+    dropped, each decoded as UTF-8 on its own.  Undecodable input raises the
+    `_decode` error for all of `data`, so its offset counts from the start."""
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
-            source.seek(0)
-            _decode(source.read(), what)
+            _decode(data, what)
             raise
         yield lineno, line.removesuffix("\n").removesuffix("\r")
 
 
-def parse_ntriples(data: bytes | BinaryIO) -> tuple[list[Triple], list[Diagnostic]]:
+def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     """Parse the N-Triples subset; invalid lines become diagnostics."""
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
@@ -252,7 +247,7 @@ _TTL_TOKEN = re.compile(
 _TTL_BEFORE_COMMENT = re.compile(r'(?:[^"<#]|"(?:[^"\\]|\\.|\\$)*"?|<[^>]*>?)*')
 
 
-def parse_turtle(data: bytes | BinaryIO) -> tuple[list[Triple], list[Diagnostic]]:
+def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     """Parse the Turtle subset: @prefix declarations plus one-triple statements.
 
     Prefixed names are expanded at parse time; `a` abbreviates rdf:type.
@@ -338,7 +333,7 @@ def parse_turtle(data: bytes | BinaryIO) -> tuple[list[Triple], list[Diagnostic]
 # ----------------------------------------------------------------------
 # scored-triple ingestion records
 
-def parse_scored_jsonl(data: bytes | BinaryIO) -> tuple[list[ScoredTriple], list[Diagnostic]]:
+def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic]]:
     """Parse line-delimited scored-triple records.
 
     Keys: `s`, `p`, `o`, `o_kind` (iri|literal), `conf`, optional `id`.

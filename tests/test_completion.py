@@ -333,28 +333,6 @@ class TestRowSums:
         assert sa.tolist() == [[6, 7], [10, 12], [4, 6]]
         assert np.array_equal(sb, -sa)
 
-    def test_ids_past_the_uint16_range(self):
-        rng = np.random.default_rng(7)
-        ids = np.concatenate([rng.integers(0, 70_000, 500), [65_535, 65_536, 65_536, 69_999]])
-        values = rng.normal(size=(len(ids), 3))
-        distinct, sums = _row_sums(ids, values)
-        assert np.array_equal(distinct, np.unique(ids))
-        ref = np.zeros((70_000, 3))
-        np.add.at(ref, ids, values)
-        scale = np.zeros_like(ref)
-        np.add.at(scale, ids, np.abs(values))
-        assert np.all(np.abs(sums - ref[distinct]) <= 1e-12 * scale[distinct])
-
-    def test_both_key_widths_give_equal_sums(self):
-        # ids below 65,536 sort as uint16 keys, shifted ones as int64
-        rng = np.random.default_rng(8)
-        ids = rng.integers(0, 1_000, 6_144)
-        values = rng.normal(size=(len(ids), 5))
-        narrow, sums = _row_sums(ids, values)
-        wide, wide_sums = _row_sums(ids + 65_536, values)
-        assert np.array_equal(wide, narrow + 65_536)
-        assert np.array_equal(wide_sums, sums)
-
 
 def _random_positives(rng, n_e, n_r):
     m = int(rng.integers(1, n_e * n_e * n_r + 1))

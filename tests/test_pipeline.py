@@ -556,27 +556,6 @@ class TestCorrectPhase:
         _assert_reaped(forked)
 
 
-class TestStreamedReaders:
-    def test_phases_pass_the_open_file_not_its_bytes(self, pipeline_fixture_dir, monkeypatch):
-        jsonl = pipeline_fixture_dir / "triples.jsonl"
-        facts = pipeline_fixture_dir / "reference_facts.nt"
-        axioms = pipeline_fixture_dir / "reference_axioms.ttl"
-        expected = (
-            pipeline.ingest_phase(jsonl)[1],
-            set(pipeline.read_graph(facts).triples()),
-            pipeline.load_ontology(axioms),
-        )
-
-        def refuse(path):
-            raise AssertionError(f"{path} read whole")
-
-        monkeypatch.setattr(Path, "read_bytes", refuse)
-        assert pipeline.ingest_phase(jsonl)[1] == expected[0]
-        assert set(pipeline.read_graph(facts).triples()) == expected[1]
-        assert pipeline.load_ontology(axioms) == expected[2]
-        assert expected[0]["records"] > 0 and expected[1] and expected[2].classes
-
-
 class TestCompletePhase:
     def test_report_counts_the_training_split_and_keeps_the_loss_curve(self):
         kg = KnowledgeGraph()

@@ -409,33 +409,6 @@ class TestLineFraming:
             parse(data)
         assert str(err.value) == f"{what} is not valid UTF-8: {whole.value}"
 
-    @pytest.mark.parametrize("parse, what", [
-        (parse_ntriples, "N-Triples input"),
-        (parse_turtle, "Turtle input"),
-        (parse_scored_jsonl, "scored-triple input"),
-    ])
-    def test_open_file_gives_the_same_lines_and_the_same_error(self, parse, what, tmp_path):
-        good = {
-            parse_ntriples: b"<urn:a> <urn:p> <urn:b> .\nbad\r\n",
-            parse_turtle: b"@prefix : <urn:> .\n:a :p :b .\n:c\r\n",
-            parse_scored_jsonl: b'{"s": "urn:a", "p": "urn:p", "o": "urn:b", "o_kind": "iri", '
-            b'"conf": 0.5}\n{\r\n',
-        }[parse]
-        path = tmp_path / "input"
-        path.write_bytes(good)
-        with open(path, "rb") as fh:
-            assert parse(fh) == parse(good)
-        data = b"# one\n# two\n# x\xff\n# after\n"
-        path.write_bytes(data)
-        with pytest.raises(ParseError) as expected:
-            parse(data)
-        with open(path, "rb") as fh, pytest.raises(ParseError) as err:
-            parse(fh)
-        assert str(err.value) == str(expected.value) == (
-            f"{what} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: "
-            "invalid start byte"
-        )
-
 
 class TestScratchMemory:
     """A call's transient memory, above what it returns, holds no copy of
