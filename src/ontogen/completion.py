@@ -154,10 +154,13 @@ class _Step:
     relation_im: np.ndarray
 
 
-def _workspace(rows: int, d: int) -> np.ndarray:
-    """Scratch for `_core` on batches of up to `rows` triples: ten
-    rows x d float64 blocks, reused by every call."""
-    return np.empty((10 * rows, d))
+def _workspace(rows: int, d: int) -> list[np.ndarray]:
+    """Scratch for `_core` on batches of up to `rows` triples: five
+    2 rows x d float64 blocks, reused by every call.  Five arrays, not
+    one: a single array of this size held through `train` raised peak
+    RSS where the per-batch arrays it replaces did not, and blocks this
+    size fit the heap space those arrays used."""
+    return [np.empty((2 * rows, d)) for _ in range(5)]
 
 
 def _pair(out, a, b, op, c, d, scratch) -> np.ndarray:
@@ -167,22 +170,22 @@ def _pair(out, a, b, op, c, d, scratch) -> np.ndarray:
 
 
 def _core(
-    m: EmbeddingModel, h, r, t, ws: np.ndarray, y: np.ndarray | None = None, lam: float = 0.0
+    m: EmbeddingModel, h, r, t, ws: list[np.ndarray], y: np.ndarray | None = None, lam: float = 0.0
 ) -> tuple[np.ndarray, _Step | None]:
     """Scores for index arrays and, given labels `y` (+1/-1), the logistic
     step: the data loss sum(log(1 + exp(-y f))), L2 on the distinct rows
     touched, and the gradient of loss + L2 on exactly those rows.
 
-    Every batch-sized array lives in the `_workspace` `ws`, whose blocks are
-    [h_re|h_im|t_re|t_im], [r_re|r_im] and [e_re|e_im] at two rows per
+    Every batch-sized array lives in the `_workspace` `ws`, whose blocks
+    [h_re|h_im], [t_re|t_im], [r_re|r_im], e_re and e_im hold two rows per
     triple.  e_re first holds the two h.t products that f and the relation
     gradient share, then, once the relation sums are taken, the head and
     tail entity gradients; a block is reused as scratch once dead.  Only
     vectors of one value per triple and the returned rows and sums are
     allocated."""
-    n, cap = len(h), len(ws) // 10
-    h_re, h_im, t_re, t_im, r_re, r_im = (ws[i * cap : i * cap + n] for i in range(6))
-    e_re, e_im = ws[6 * cap : 6 * cap + 2 * n], ws[8 * cap : 8 * cap + 2 * n]
+    n, cap = len(h), len(ws[0]) // 2
+    (h_re, h_im), (t_re, t_im), (r_re, r_im) = ((b[:n], b[cap : cap + n]) for b in ws[:3])
+    e_re, e_im = ws[3][: 2 * n], ws[4][: 2 * n]
     ht_re, ht_im = e_re[:n], e_re[n:]
     # ids are always valid rows; "clip" skips the copy "raise" makes of `out`
     for src, ids, out in (
@@ -214,7 +217,7 @@ def _core(
         np.multiply(_pair(out, a, b, op, c, d, scratch), w, out=out)
     # the entity rows sort into the dead h/t blocks
     ue, ge_re, ge_im = _row_sums(
-        np.concatenate([h, t]), e_re, e_im, into=(ws[: 2 * n], ws[2 * n : 4 * n])
+        np.concatenate([h, t]), e_re, e_im, into=(ws[0][: 2 * n], ws[1][: 2 * n])
     )
 
     l2 = 0.0
@@ -224,8 +227,8 @@ def _core(
             (ue, m.entity_re, ge_re), (ue, m.entity_im, ge_im),
             (ur, m.relation_re, gr_re), (ur, m.relation_im, gr_im),
         ):
-            x = np.take(params, rows, axis=0, out=ws[: len(rows)], mode="clip")
-            squares.append(np.square(x, out=ws[2 * cap : 2 * cap + len(rows)]).sum())
+            x = np.take(params, rows, axis=0, out=ws[0][: len(rows)], mode="clip")
+            squares.append(np.square(x, out=ws[1][: len(rows)]).sum())
             np.add(grad, np.multiply(x, 2 * lam, out=x), out=grad)
         l2 = lam * float(squares[0] + squares[1] + squares[2] + squares[3])
     loss = float(np.logaddexp(0.0, -y * f).sum())
