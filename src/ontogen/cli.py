@@ -20,10 +20,16 @@ EXIT_VALIDATION = 1
 EXIT_PHASE = 2
 
 
-def _save(kg, out: str, report: dict, report_path: str | None) -> None:
-    pipeline.write_graph(Path(out), kg)
-    if report_path:
-        pipeline.write_json(Path(report_path), report)
+def _render(counts: dict) -> str:
+    """A phase's counts as one line, as `report` and every phase subcommand print them."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+
+
+def _finish(phase: str, kg, report: dict, out: str | None, report_path: str | None) -> int:
+    """Save the phase's graph to `out` and its report to `report_path`
+    (each if given) and print `<phase>: <counts>`."""
+    print(f"{phase}: {_render(pipeline.save_phase(phase, kg, report, out, report_path))}")
+    return EXIT_OK
 
 
 def _setting(convert):
@@ -50,23 +56,17 @@ def _config(args, section: str, cls, **list_files):
 
 # ----------------------------------------------------------------------
 # subcommand handlers: build the phase config as `run` does (a flag left out
-# keeps the field's default), read the input, run the phase
+# keeps the field's default), read the input, run the phase, `_finish`
 
 def _cmd_clean(args) -> int:
     cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.load_denylist)
-    summary = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg)
-    print(f"cleaned {len(summary['files'])} files: kept {summary['total_kept']} sentences")
-    return EXIT_OK
+    report = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg)
+    return _finish("clean", None, report, None, None)
 
 
 def _cmd_ingest(args) -> int:
     kg, report = pipeline.ingest_phase(Path(args.in_file))
-    _save(kg, args.out, report, args.report)
-    print(
-        f"ingested {report['records']} records into {len(kg)} statements "
-        f"({len(report['diagnostics'])} diagnostics)"
-    )
-    return EXIT_OK
+    return _finish("ingest", kg, report, args.out, args.report)
 
 
 def _cmd_refine(args) -> int:
@@ -74,9 +74,7 @@ def _cmd_refine(args) -> int:
     kg, _ = pipeline.ingest_phase(Path(args.in_file))
     schema = pipeline.load_ontology(Path(args.schema)) if args.schema else None
     kg, report = pipeline.refine_phase(kg, schema, cfg)
-    _save(kg, args.out, report, args.report)
-    print(f"refined: kept {report['kept']} data statements")
-    return EXIT_OK
+    return _finish("refine", kg, report, args.out, args.report)
 
 
 def _cmd_correct(args) -> int:
@@ -85,31 +83,22 @@ def _cmd_correct(args) -> int:
     reference = pipeline.load_ontology(Path(args.axioms))
     facts = Path(args.reference) if args.reference else None
     kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
-    _save(kg, args.out, report, args.report)
-    print(
-        f"corrected: {len(report['violations'])} violations, "
-        f"{len(report['deleted'])} deleted, {len(report['replaced'])} replaced"
-    )
-    return EXIT_OK
+    return _finish("correct", kg, report, args.out, args.report)
 
 
 def _cmd_complete(args) -> int:
     cfg = _config(args, "complete", completion.TrainConfig, predict_relations=cleaning.read_list)
     kg = pipeline.read_graph(Path(args.in_file))
     kg, report = pipeline.complete_phase(kg, cfg, args.train_extra, model_out=args.model_out)
-    _save(kg, args.out, report, args.metrics)
     for note in report["notes"]:
         print(note, file=sys.stderr)
-    print(f"completed: {report['predicted_count']} predicted statements")
-    return EXIT_OK
+    return _finish("complete", kg, report, args.out, args.metrics)
 
 
 def _cmd_map(args) -> int:
     kg = pipeline.read_graph(Path(args.in_file))
     kg, report = pipeline.map_phase(kg, pipeline.load_ontology(Path(args.domain)))
-    _save(kg, args.out, report, args.report)
-    print(f"mapped: epsilon={report['epsilon_total']}, retained {report['retained']} statements")
-    return EXIT_OK
+    return _finish("map", kg, report, args.out, args.report)
 
 
 def _cmd_run(args) -> int:
@@ -134,10 +123,8 @@ def _cmd_report(args) -> int:
     timing = json.loads(timing_path.read_text("utf-8")) if timing_path.is_file() else {}
     print(f"run {manifest['config_hash'][:12]} (seed {manifest['seed']})")
     for phase in pipeline.PHASES:
-        phase_counts = manifest["phases"].get(phase, {})
-        rendered = ", ".join(f"{k}={v}" for k, v in sorted(phase_counts.items()))
         seconds = f"{timing[phase]:.3f}s" if phase in timing else "?"
-        print(f"  {phase:<9} {seconds:>8}  {rendered}")
+        print(f"  {phase:<9} {seconds:>8}  {_render(manifest['phases'].get(phase, {}))}")
     if timing:
         print("  (clean ran beside the graph phases; total is wall clock, not their sum)")
         print(f"  total     {timing.get('total', '?')}s")

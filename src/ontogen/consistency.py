@@ -132,31 +132,21 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
         decl = on.properties.get(t.predicate.value)
         if decl is None:
             continue
-        if decl.domains:
-            found = class_map.get(t.subject, set())
-            if found and not (closure(found) & decl.domains):
-                violations.append(
-                    DomainRangeViolation(
-                        t, "domain", t.predicate.value, frozenset(decl.domains), frozenset(found)
-                    )
-                )
-        if decl.ranges:
-            class_ranges = set(decl.ranges) - {LITERAL_RANGE}
-            if t.object.is_literal:
-                if LITERAL_RANGE not in decl.ranges:
-                    violations.append(
-                        DomainRangeViolation(
-                            t, "range", t.predicate.value, frozenset(decl.ranges), frozenset()
-                        )
-                    )
-            elif class_ranges:
-                found = class_map.get(t.object, set())
-                if found and not (closure(found) & class_ranges):
-                    violations.append(
-                        DomainRangeViolation(
-                            t, "range", t.predicate.value, frozenset(class_ranges), frozenset(found)
-                        )
-                    )
+        for position, entity, declared in (
+            ("domain", t.subject, decl.domains),
+            ("range", t.object, decl.ranges),
+        ):
+            if not declared:
+                continue
+            if entity.is_literal:  # only an object: fits a literal range alone
+                expected, found = declared, ()
+                wrong = LITERAL_RANGE not in declared
+            else:
+                expected, found = declared - {LITERAL_RANGE}, class_map.get(entity, ())
+                wrong = expected and found and not (closure(found) & expected)
+            if wrong:
+                violations.append(DomainRangeViolation(
+                    t, position, t.predicate.value, frozenset(expected), frozenset(found)))
     return violations
 
 

@@ -70,7 +70,6 @@ def detect_disjointness_violations(
         raise CorrectionError("reference ontology declares no disjointness axioms")
 
     violations: list[Violation] = []
-    seen: set[tuple[Triple, Triple, str]] = set()
     class_map = kg.class_map()
     witnesses: dict[tuple[str, str], tuple[str, str] | None] = {}
     for st in kg.data_statements:
@@ -98,17 +97,12 @@ def detect_disjointness_violations(
             if hit is None:
                 continue
             c, c2, axiom = hit
-            type_assertion = Triple(entity, Term.iri(RDF_TYPE), Term.iri(c))
-            key = (type_assertion, t, position)
-            if key in seen:
-                continue
-            seen.add(key)
             violations.append(
                 Violation(
                     triple=t,
                     kind="disjointness",
                     evidence=DisjointnessEvidence(
-                        type_assertion=type_assertion,
+                        type_assertion=Triple(entity, Term.iri(RDF_TYPE), Term.iri(c)),
                         property_triple=t,
                         entity_class=c,
                         conflicting_class=c2,

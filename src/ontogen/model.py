@@ -366,29 +366,27 @@ def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
     Schema statements do not contribute edges: a shared class would
     otherwise merge unrelated islands through its type assertions.
     Components come back sorted by size descending, ties broken by the
-    lexicographically smallest member IRI.
+    lexicographically smallest member IRI; a component without an IRI
+    goes after every one of its size that has one, ordered by its
+    smallest member's `sort_key`.
     """
+    # every value is a stored key, so roots can be compared by identity
     parent: dict[Term, Term] = {}
 
     def find(x: Term) -> Term:
         root = x
-        while parent[root] != root:
+        while parent[root] is not root:
             root = parent[root]
-        while parent[x] != root:
+        while parent[x] is not root:
             parent[x], x = root, parent[x]
         return root
 
-    def union(a: Term, b: Term) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
+    for st in kg.data_statements:
+        t = st.triple
+        ra = find(parent.setdefault(t.subject, t.subject))
+        rb = find(parent.setdefault(t.object, t.object))
+        if ra is not rb:
             parent[rb] = ra
-
-    for t in kg.triples():
-        if is_schema_triple(t):
-            continue
-        for node in (t.subject, t.object):
-            parent.setdefault(node, node)
-        union(t.subject, t.object)
 
     groups: dict[Term, set[Term]] = defaultdict(set)
     for node in parent:
@@ -396,7 +394,9 @@ def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
 
     def comp_key(comp: set[Term]) -> tuple:
         smallest = min((n.value for n in comp if n.is_iri), default=None)
-        return (-len(comp), min(n.sort_key() for n in comp) if smallest is None else smallest)
+        if smallest is None:
+            return (-len(comp), 1, min(n.sort_key() for n in comp))
+        return (-len(comp), 0, smallest)
 
     return sorted(groups.values(), key=comp_key)
 

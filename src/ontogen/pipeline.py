@@ -41,7 +41,7 @@ ARTIFACTS = {
     "map": "ontology.nt",
 }
 
-PHASES = ("clean", "ingest", "refine", "correct", "complete", "map")
+PHASES = tuple(ARTIFACTS)
 
 
 class ValidationError(ValueError):
@@ -218,6 +218,7 @@ def read_graph(path: Path) -> KnowledgeGraph:
 
 
 def write_graph(path: Path, kg: KnowledgeGraph) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(serialize_ntriples(kg.triples()))
 
 
@@ -427,6 +428,37 @@ def map_phase(kg: KnowledgeGraph, domain: OntologySchema) -> tuple[KnowledgeGrap
     }
 
 
+#: phase -> `counts(report, kg)`: the phase's entry in the run manifest and
+#: the line its subcommand prints (`kg` is None for `clean`)
+COUNTS = {
+    "clean": lambda r, kg: {"files": len(r["files"]), "kept": r["total_kept"],
+                            "dropped": r["total_dropped"]},
+    "ingest": lambda r, kg: {"records": r["records"], "statements": len(kg),
+                             "diagnostics": len(r["diagnostics"])},
+    "refine": lambda r, kg: {"removed_threshold": len(r["removed_by_threshold"]),
+                             "removed_lof": len(r["removed_by_lof"]),
+                             "removed_implausible": len(r["removed_implausible"]),
+                             "removed_disconnected": len(r["removed_disconnected"]),
+                             "kept": r["kept"]},
+    "correct": lambda r, kg: {key: len(r[key]) for key in ("violations", "deleted", "replaced")},
+    "complete": lambda r, kg: {"predicted": r["predicted_count"]},
+    "map": lambda r, kg: {"epsilon_total": r["epsilon_total"], "removed": len(r["removed"]),
+                          "retained": r["retained"]},
+}
+
+
+def save_phase(phase: str, kg: KnowledgeGraph | None, report: dict,
+               graph_path: Path | str | None, report_path: Path | str | None) -> dict:
+    """Write `kg` to `graph_path` and `report` to `report_path`, each only
+    where a path is given, creating missing parent directories; return the
+    phase's `COUNTS`."""
+    if graph_path is not None:
+        write_graph(Path(graph_path), kg)
+    if report_path is not None:
+        write_json(Path(report_path), report)
+    return COUNTS[phase](report, kg)
+
+
 # ----------------------------------------------------------------------
 
 def _fork(fn) -> tuple[int, int]:
@@ -487,8 +519,6 @@ def run(config: PipelineConfig) -> PipelineResult:
     configs = config.phase_configs()
 
     out_dir = Path(config.output_dir)
-    (out_dir / "reports").mkdir(parents=True, exist_ok=True)
-
     counts: dict[str, dict] = {}
     timing: dict[str, float] = {}
     started = time.perf_counter()
@@ -505,51 +535,31 @@ def run(config: PipelineConfig) -> PipelineResult:
         finally:
             timing[phase] = round(time.perf_counter() - t0, 6)
 
-    def save(phase: str, kg: KnowledgeGraph | None, report: dict, **phase_counts) -> None:
-        if kg is not None:
-            write_graph(out_dir / ARTIFACTS[phase], kg)
-        write_json(out_dir / "reports" / f"{phase}.json", report)
-        counts[phase] = phase_counts
-
     def clean() -> dict:
         report = clean_phase(config.corpus_dir, out_dir / ARTIFACTS["clean"], configs["clean"])
-        write_json(out_dir / "reports" / "clean.json", report)
-        return {"files": len(report["files"]), "kept": report["total_kept"],
-                "dropped": report["total_dropped"]}
+        return save_phase("clean", None, report, None, out_dir / "reports" / "clean.json")
 
     child = _fork(clean)
     try:
-        with timed("ingest"):
-            kg, report = ingest_phase(config.scored_triples)
-            save("ingest", kg, report, records=report["records"], statements=len(kg),
-                 diagnostics=len(report["diagnostics"]))
-
-        with timed("refine"):
-            reference = load_ontology(Path(config.reference_axioms))
-            kg, report = refine_phase(kg, reference, configs["refine"])
-            save("refine", kg, report,
-                 removed_threshold=len(report["removed_by_threshold"]),
-                 removed_lof=len(report["removed_by_lof"]),
-                 removed_implausible=len(report["removed_implausible"]),
-                 removed_disconnected=len(report["removed_disconnected"]),
-                 kept=report["kept"])
-
-        with timed("correct"):
-            kg, report = correct_phase(kg, reference, configs["correct"], config.reference_facts)
-            save("correct", kg, report, violations=len(report["violations"]),
-                 deleted=len(report["deleted"]), replaced=len(report["replaced"]))
-
-        with timed("complete"):
-            kg, report = complete_phase(
+        # `validate` has parsed both, so neither load can fail here
+        reference = load_ontology(Path(config.reference_axioms))
+        domain = load_ontology(Path(config.domain_ontology))
+        steps = {
+            "ingest": lambda kg: ingest_phase(config.scored_triples),
+            "refine": lambda kg: refine_phase(kg, reference, configs["refine"]),
+            "correct": lambda kg: correct_phase(
+                kg, reference, configs["correct"], config.reference_facts),
+            "complete": lambda kg: complete_phase(
                 kg, configs["complete"], config.train_extra,
-                sim_threshold=configs["correct"].sim_threshold,
-            )
-            save("complete", kg, report, predicted=report["predicted_count"])
-
-        with timed("map"):
-            kg, report = map_phase(kg, load_ontology(Path(config.domain_ontology)))
-            save("map", kg, report, epsilon_total=report["epsilon_total"],
-                 removed=len(report["removed"]), retained=report["retained"])
+                sim_threshold=configs["correct"].sim_threshold),
+            "map": lambda kg: map_phase(kg, domain),
+        }
+        kg = None
+        for phase, step in steps.items():
+            with timed(phase):
+                kg, report = step(kg)
+                counts[phase] = save_phase(phase, kg, report, out_dir / ARTIFACTS[phase],
+                                           out_dir / "reports" / f"{phase}.json")
     except Exception:
         _join("clean", *child)  # a failed clean is raised first, in phase order
         raise
@@ -565,7 +575,7 @@ def run(config: PipelineConfig) -> PipelineResult:
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "phases": counts,
-        "artifacts": {phase: ARTIFACTS[phase] for phase in PHASES},
+        "artifacts": dict(ARTIFACTS),
     }
     write_json(out_dir / "manifest.json", manifest)
     timing["total"] = round(time.perf_counter() - started, 6)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ontogen import model
 from ontogen.model import (
@@ -501,6 +501,45 @@ class TestConnectedComponents:
             covered |= comp
         assert covered == all_nodes
         assert {frozenset(c) for c in comps} == {frozenset(c) for c in brute_force_components(edges)}
+
+    @example([(6, 0, 10), (0, 0, 11)])  # two 2-node islands, one without an IRI
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(0, 13)),
+                    max_size=14))
+    def test_reachability_partition_in_documented_order(self, edges):
+        # subjects: IRIs n0-n5 and blanks b0-b3; objects also literals l0-l3,
+        # so islands can hold no IRI at all; each term is built anew per use
+        def node(i: int) -> Term:
+            if i < 6:
+                return iri(f"n{i}")
+            return Term.blank(f"b{i - 6}") if i < 10 else Term.literal(f"l{i - 10}")
+
+        kg = KnowledgeGraph()
+        adjacent: dict[Term, set[Term]] = {}
+        for s, p, o in edges:
+            kg.add_triple(Triple(node(s), iri(f"p{p}"), node(o)), 0.9)
+            adjacent.setdefault(node(s), set()).add(node(o))
+            adjacent.setdefault(node(o), set()).add(node(s))
+        kg.add_triple(Triple(node(0), Term.iri(RDF_TYPE), iri("C")), 0.9)  # schema: no edge
+
+        partition, placed = [], set()
+        for start in adjacent:
+            if start in placed:
+                continue
+            reach, frontier = {start}, [start]
+            while frontier:
+                for nxt in adjacent[frontier.pop()] - reach:
+                    reach.add(nxt)
+                    frontier.append(nxt)
+            placed |= reach
+            partition.append(reach)
+
+        def documented(comp: set[Term]) -> tuple:
+            iris = sorted(n.value for n in comp if n.is_iri)
+            if iris:
+                return (-len(comp), 0, iris[0], ())
+            return (-len(comp), 1, "", min(n.sort_key() for n in comp))
+
+        assert connected_components(kg) == sorted(partition, key=documented)
 
 
 @pytest.fixture

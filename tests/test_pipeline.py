@@ -597,69 +597,82 @@ class TestCompletePhase:
 
 
 class TestCli:
-    def test_phase_subcommands_compose(self, tmp_path, pipeline_fixture_dir, pipeline_run):
+    def test_phase_subcommands_compose(self, tmp_path, pipeline_fixture_dir, pipeline_run, capsys):
+        # clean, ingest and refine read the run's inputs and map reads the
+        # run's kg-completed.nt, so each reproduces the run's files byte for
+        # byte and prints the manifest's counts for its phase.  correct is
+        # left out of that: `read_graph` gives every statement confidence 1,
+        # and the disjointness tie-break reads confidences.
         src = pipeline_fixture_dir
         out = tmp_path
-        run_reports = Path(pipeline_run[0].output_dir) / "reports"
+        run_dir = Path(pipeline_run[0].output_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
 
-        def assert_run_schema(cli_report: Path, phase: str) -> None:
-            run_report = json.loads((run_reports / f"{phase}.json").read_text())
-            assert set(json.loads(cli_report.read_text())) == set(run_report)
+        def line(phase: str, counts: dict) -> str:
+            return f"{phase}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
 
-        rc = cli_main(
-            ["clean", "--in", str(src / "corpus"), "--out", str(out / "cleaned")]
-        )
-        assert rc == 0
-        assert (out / "cleaned" / "summary.json").is_file()
+        def cli(argv: list[str]) -> str:
+            assert cli_main(argv) == 0
+            [printed] = capsys.readouterr().out.splitlines()
+            return printed
 
-        rc = cli_main(
-            ["ingest", "--in", str(src / "triples.jsonl"), "--out", str(out / "raw.nt"),
-             "--report", str(out / "ingest.json")]
-        )
-        assert rc == 0
-        assert_run_schema(out / "ingest.json", "ingest")
+        def assert_as_run(phase: str, graph: Path, report: Path) -> None:
+            assert graph.read_bytes() == (run_dir / pipeline.ARTIFACTS[phase]).read_bytes()
+            assert report.read_bytes() == (run_dir / "reports" / f"{phase}.json").read_bytes()
+            assert printed == line(phase, manifest["phases"][phase])
 
-        rc = cli_main(
-            ["refine", "--in", str(src / "triples.jsonl"), "--schema", str(src / "reference_axioms.ttl"),
-             "--out", str(out / "refined.nt"), "--report", str(out / "refine.json")]
-        )
-        assert rc == 0
-        assert_run_schema(out / "refine.json", "refine")
+        printed = cli(["clean", "--in", str(src / "corpus"), "--out", str(out / "cleaned")])
+        assert printed == line("clean", manifest["phases"]["clean"])
+        for name in ("sentences.jsonl", "summary.json"):
+            assert (out / "cleaned" / name).read_bytes() == (run_dir / "cleaned" / name).read_bytes()
+
+        printed = cli(["ingest", "--in", str(src / "triples.jsonl"), "--out", str(out / "raw.nt"),
+                       "--report", str(out / "ingest.json")])
+        assert_as_run("ingest", out / "raw.nt", out / "ingest.json")
+
+        printed = cli(["refine", "--in", str(src / "triples.jsonl"),
+                       "--schema", str(src / "reference_axioms.ttl"),
+                       "--out", str(out / "refined.nt"), "--report", str(out / "refine.json")])
+        assert_as_run("refine", out / "refined.nt", out / "refine.json")
 
         functional = out / "functional.txt"
         functional.write_text(ff.PROP + "businessFocus\n", encoding="utf-8")
-        rc = cli_main(
-            ["correct", "--in", str(out / "refined.nt"), "--axioms", str(src / "reference_axioms.ttl"),
-             "--reference", str(src / "reference_facts.nt"), "--functional", str(functional),
-             "--out", str(out / "corrected.nt"), "--report", str(out / "correct.json")]
-        )
-        assert rc == 0
+        printed = cli(["correct", "--in", str(out / "refined.nt"),
+                       "--axioms", str(src / "reference_axioms.ttl"),
+                       "--reference", str(src / "reference_facts.nt"),
+                       "--functional", str(functional),
+                       "--out", str(out / "corrected.nt"), "--report", str(out / "correct.json")])
         report = json.loads((out / "correct.json").read_text())
         assert len(report["replaced"]) == 2
-        assert_run_schema(out / "correct.json", "correct")
+        assert set(report) == set(json.loads((run_dir / "reports" / "correct.json").read_text()))
+        assert printed == line("correct", {k: len(report[k]) for k in ("violations", "deleted",
+                                                                        "replaced")})
 
         rels = out / "rels.txt"
         rels.write_text(ff.PROP + "businessFocus\n", encoding="utf-8")
-        rc = cli_main(
-            ["complete", "--in", str(out / "corrected.nt"),
-             "--dim", "3", "--epochs", "40", "--batch-size", "512", "--seed", "42",
-             "--predict-relations", str(rels), "--threshold", "0.05",
-             "--out", str(out / "completed.nt"), "--metrics", str(out / "metrics.json"),
-             "--model-out", str(out / "model.bin")]
-        )
-        assert rc == 0
+        printed = cli(["complete", "--in", str(out / "corrected.nt"),
+                       "--dim", "3", "--epochs", "40", "--batch-size", "512", "--seed", "42",
+                       "--predict-relations", str(rels), "--threshold", "0.05",
+                       "--out", str(out / "completed.nt"), "--metrics", str(out / "metrics.json"),
+                       "--model-out", str(out / "model.bin")])
         assert (out / "model.bin").stat().st_size > 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["predicted_count"] == 430
-        assert_run_schema(out / "metrics.json", "complete")
+        assert set(metrics) == set(json.loads((run_dir / "reports" / "complete.json").read_text()))
+        assert printed == "complete: predicted=430"
 
-        rc = cli_main(
-            ["map", "--in", str(out / "completed.nt"), "--domain", str(src / "domain_ontology.ttl"),
-             "--out", str(out / "ontology.nt"), "--report", str(out / "map.json")]
-        )
+        printed = cli(["map", "--in", str(run_dir / "kg-completed.nt"),
+                       "--domain", str(src / "domain_ontology.ttl"),
+                       "--out", str(out / "ontology.nt"), "--report", str(out / "map.json")])
+        assert_as_run("map", out / "ontology.nt", out / "map.json")
+        assert manifest["phases"]["map"]["epsilon_total"] >= 3
+
+    def test_output_parent_directories_are_created(self, tmp_path, pipeline_fixture_dir):
+        graph, report = tmp_path / "new" / "dir" / "kg.nt", tmp_path / "other" / "r.json"
+        rc = cli_main(["ingest", "--in", str(pipeline_fixture_dir / "triples.jsonl"),
+                       "--out", str(graph), "--report", str(report)])
         assert rc == 0
-        assert json.loads((out / "map.json").read_text())["epsilon_total"] >= 3
-        assert_run_schema(out / "map.json", "map")
+        assert graph.stat().st_size > 0 and json.loads(report.read_text())["records"] > 0
 
     def test_complete_holdout_metrics(self, tmp_path, pipeline_fixture_dir):
         kg_path = tmp_path / "kg.nt"
@@ -734,9 +747,12 @@ class TestCli:
         assert "seed 42" in printed
         timing = json.loads((Path(config.output_dir) / "timing.json").read_text())
         lines = printed.splitlines()
+        manifest = json.loads((Path(config.output_dir) / "manifest.json").read_text())
         for phase in pipeline.PHASES:
             [line] = [ln for ln in lines if ln.split()[0] == phase]
             assert f"{timing[phase]:.3f}s" in line
+            counts = sorted(manifest["phases"][phase].items())
+            assert line.endswith("  " + ", ".join(f"{k}={v}" for k, v in counts))
         assert any("clean ran beside the graph phases" in ln for ln in lines)
 
     def test_validation_exit_code(self, tmp_path, pipeline_config_path):

@@ -421,6 +421,20 @@ class TestRefine:
         assert set.union(*removed_sets) == before - after
         assert report.kept == len(after)
 
+    def test_islands_of_one_size_with_and_without_an_iri(self):
+        # two 2-node islands tie in size: one holds an IRI, one holds none
+        kg = KnowledgeGraph()
+        for i in range(5):
+            kg.add(st_triple(f"m{i}", "rel", f"m{i + 1}", 0.9))
+        name = iri("name")
+        kg.add(ScoredTriple(Triple(Term.blank("b1"), name, Term.literal("x")), 0.9))
+        kg.add(ScoredTriple(Triple(iri("a"), name, Term.literal("y")), 0.9))
+        refined, report = refine(kg, None, RefineConfig())
+        assert {st.triple.subject for st in refined.data_statements} == {iri(f"m{i}") for i in range(5)}
+        assert report.disconnected_nodes == [Term.blank("b1"), iri("a"), Term.literal("x"),
+                                             Term.literal("y")]
+        assert report.kept == 5
+
     def test_report_lists_the_typed_island_types(self):
         kg = _typed_island_graph()
         refined, report = refine(kg, None, RefineConfig())
