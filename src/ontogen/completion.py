@@ -541,7 +541,7 @@ def predict_missing(
     fall to the smaller sort key.
     """
     class_map = kg.class_map()
-    all_subjects = {st.triple.subject for st in kg.data_statements}
+    all_subjects = dict.fromkeys(st.triple.subject for st in kg.data_statements)
     entities = model.entities
 
     def types_of(terms: set[Term]) -> set[str]:
@@ -558,13 +558,14 @@ def predict_missing(
             [not range_types or bool(class_map.get(e, set()) & range_types) for e in entities],
             dtype=bool,
         )
-        pool = {
+        pool = [
             e
-            for e in all_subjects - subjects
-            if e in model.entity_index
+            for e in all_subjects
+            if e not in subjects
+            and e in model.entity_index
             and (not observed_types or class_map.get(e, set()) & observed_types)
-        }
-        for subject in sorted(pool, key=Term.sort_key):
+        ]
+        for subject in pool:
             s_row = model.entity_row(subject)
             allowed = typed.copy()
             allowed[s_row] = False
@@ -596,7 +597,7 @@ def agreement_rates(
             existing.setdefault(t.subject, t.object)
             if t.object in model.entity_index:
                 allowed[model.entity_index[t.object]] = True
-        subjects = sorted((s for s in existing if s in model.entity_index), key=Term.sort_key)
+        subjects = [s for s in existing if s in model.entity_index]
         if not (subjects and allowed.any()):
             rates[rel.value] = None
             continue

@@ -71,18 +71,12 @@ def _instances_of(kg: KnowledgeGraph, c: str) -> set[Term]:
 
 
 def _concept_slice(kg: KnowledgeGraph, c: str) -> list[Triple]:
-    """Data statements about c's instances, in canonical order: the
-    statements of each instance, instances in `Term.sort_key` order."""
+    """Data statements about c's instances, in canonical order."""
     instances = _instances_of(kg, c)
     if not instances:
         log.warning("concept %s has no instances in the generated graph", c)
         return []
-    return [
-        st.triple
-        for e in sorted(instances, key=Term.sort_key)
-        for st in kg.about(e)
-        if not is_schema_triple(st.triple)
-    ]
+    return [st.triple for st in kg.data_statements if st.triple.subject in instances]
 
 
 def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
@@ -184,9 +178,10 @@ def map_to_domain(
 
     report.domain_range_violations = domain_range_check(kg, on)
     removed.update(v.triple for v in report.domain_range_violations)
-    removed.update(t for t in kg.triples() if not _in_vocabulary(t, on))
 
-    out = kg.without(removed)
-    report.removed_triples = sorted(removed, key=Triple.sort_key)
+    report.removed_triples = [
+        t for t in kg.triples() if t in removed or not _in_vocabulary(t, on)
+    ]
+    out = kg.without(report.removed_triples)
     report.retained = len(out)
     return out, report

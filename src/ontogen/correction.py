@@ -234,7 +234,7 @@ def correct(
             deleted.add(
                 ev.type_assertion if type_st.confidence < prop_st.confidence else ev.property_triple
             )
-        report.deleted = sorted(deleted, key=Triple.sort_key)
+        report.deleted = [t for t in kg.triples() if t in deleted]
 
     if reference.facts and cfg.functional:
         conflicts = [
@@ -245,7 +245,6 @@ def correct(
             ev = v.evidence
             fixed = Triple(ev.kg_triple.subject, ev.kg_triple.predicate, ev.proposed)
             report.replaced.append((ev.kg_triple, fixed))
-        report.replaced.sort(key=lambda pair: pair[0].sort_key())
 
     out = kg.without(deleted | {old for old, _ in report.replaced})
     for old, new in report.replaced:

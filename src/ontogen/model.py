@@ -14,13 +14,14 @@ for each distinct term of an input and a lookup matches it by identity
 before comparing any field.
 
 The ordered and grouped views read one index: the statements in canonical
-order, and the same statements grouped by predicate IRI and by subject,
-each group in canonical order and built on its first read.  The store is
-sorted once, on the first read; after that `add` inserts into (or, on a
-confidence raise, replaces in) the canonical list and drops only the
-groupings.  `without(triples)` derives a new graph holding every other
-statement; its index is this graph's canonical list, filtered, so a
-derived graph is never sorted again.
+order, and the same statements grouped by predicate IRI, each group in
+canonical order and built on its first read.  The store is sorted once, on
+the first read; after that `add` inserts into (or, on a confidence raise,
+replaces in) the canonical list and drops only the grouping.
+`without(triples)` derives a new graph holding every other statement; its
+index is this graph's canonical list, filtered, so a derived graph is
+never sorted again.  Canonical order sorts by subject first, so a phase
+that lists statements or subjects filters this list instead of sorting.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ def _canonical_key(st: ScoredTriple) -> tuple:
 
 class _Index:
     """The statements of a store in canonical order, and the same statements
-    grouped by predicate IRI and by subject, each group in canonical order.
-    Each grouping is built on its first read; `KnowledgeGraph.add` hands the
-    updated list to a new index, so no grouping goes stale."""
+    grouped by predicate IRI, each group in canonical order.  The grouping
+    is built on its first read; `KnowledgeGraph.add` hands the updated list
+    to a new index, so it never goes stale."""
 
     def __init__(self, statements: list[ScoredTriple]) -> None:
         """`statements` must already be in canonical order."""
@@ -198,13 +199,6 @@ class _Index:
         out: dict[str, list[ScoredTriple]] = {}
         for st in self.statements:
             out.setdefault(st.triple.predicate.value, []).append(st)
-        return out
-
-    @cached_property
-    def by_subject(self) -> dict[Term, list[ScoredTriple]]:
-        out: dict[Term, list[ScoredTriple]] = {}
-        for st in self.statements:
-            out.setdefault(st.triple.subject, []).append(st)
         return out
 
 
@@ -237,7 +231,7 @@ class KnowledgeGraph:
 
         On an indexed graph the statement goes into the canonical list at
         its place (or replaces the copy it raises), and only the lazy
-        groupings are dropped, so the store is not sorted again."""
+        grouping is dropped, so the store is not sorted again."""
         old = self._store.get(st.triple)
         if old is not None and st.confidence <= old.confidence:
             return
@@ -289,10 +283,6 @@ class KnowledgeGraph:
     def with_predicate(self, predicate: str) -> list[ScoredTriple]:
         """Statements whose predicate IRI is `predicate`, in canonical order."""
         return list(self._index().by_predicate.get(predicate, []))
-
-    def about(self, subject: Term) -> list[ScoredTriple]:
-        """Statements whose subject is `subject`, in canonical order."""
-        return list(self._index().by_subject.get(subject, []))
 
     def statement_for(self, t: Triple) -> ScoredTriple | None:
         return self._store.get(t)

@@ -59,7 +59,7 @@ class PhaseError(RuntimeError):
 
 #: config-file section -> (its phase's config class, the PipelineConfig field
 #: holding its options); each key of a section is a field of its class,
-#: except `complete.train_extra`, a path
+#: except `complete.train_extra`, a path, and `seed`, which is top-level only
 _SECTIONS = {
     "clean": (cleaning.CleanConfig, "clean_options"),
     "refine": (refinement.RefineConfig, "refine_options"),
@@ -99,13 +99,15 @@ def _settings(section: str, types: dict[str, str], opts: dict) -> dict:
     return out
 
 
-def phase_config(section: str, cls, opts: dict, **fallback):
+def phase_config(section: str, cls, opts: dict, **fixed):
     """A `cls` from `opts`, one config-file section or the flags a
     subcommand was given: `_settings` checks and converts each value, a
-    field absent from `opts` takes its `fallback` value if any, else its
-    default, and `cls`'s own checks run last.  Raises ValidationError."""
+    field absent from `opts` takes its default, and `cls`'s own checks run
+    last.  A field named in `fixed` takes that value and is not a key
+    `opts` may set.  Raises ValidationError."""
     types = {f.name: f.type for f in fields(cls)}
-    kwargs = {k: v for k, v in fallback.items() if k in types} | _settings(section, types, opts)
+    kwargs = _settings(section, {k: v for k, v in types.items() if k not in fixed}, opts)
+    kwargs |= {k: v for k, v in fixed.items() if k in types}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -227,8 +229,10 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def validate(config: PipelineConfig) -> list[str]:
-    """Collect configuration diagnostics; an empty list means runnable."""
+def _check(config: PipelineConfig) -> tuple[list[str], dict[str, OntologySchema]]:
+    """The config's diagnostics, an empty list when it is runnable, and the
+    `reference_axioms` and `domain_ontology` schemas, by key, each parsed
+    once: a file that is missing or does not parse is a diagnostic."""
     out: list[str] = []
     for name, path, required in (
         ("scored_triples", config.scored_triples, True),
@@ -249,16 +253,20 @@ def validate(config: PipelineConfig) -> list[str]:
     except ValidationError as exc:
         out += exc.diagnostics
 
-    for label, path in (
-        ("reference_axioms", config.reference_axioms),
-        ("domain_ontology", config.domain_ontology),
-    ):
-        if Path(path).is_file():
+    schemas = {}
+    for label in ("reference_axioms", "domain_ontology"):
+        path = Path(getattr(config, label))
+        if path.is_file():
             try:
-                load_ontology(Path(path))
+                schemas[label] = load_ontology(path)
             except ValueError as exc:
                 out.append(f"{label}: {exc}")
-    return out
+    return out, schemas
+
+
+def validate(config: PipelineConfig) -> list[str]:
+    """Collect configuration diagnostics; an empty list means runnable."""
+    return _check(config)[0]
 
 
 @dataclass
@@ -398,6 +406,7 @@ def complete_phase(
             for st in predictions
         ]
         if model_out is not None:
+            Path(model_out).parent.mkdir(parents=True, exist_ok=True)
             completion.save_model(model, model_out)
     report["predicted_count"] = len(predictions)
     out = kg.without(())
@@ -513,7 +522,7 @@ def run(config: PipelineConfig) -> PipelineResult:
     forked child beside ingest -> map; a failed clean is raised before a
     graph phase's error, as if it had run first.  `timing.json` holds each
     phase's own seconds and, as `total`, the run's wall clock."""
-    diagnostics = validate(config)
+    diagnostics, schemas = _check(config)
     if diagnostics:
         raise ValidationError(diagnostics)
     configs = config.phase_configs()
@@ -541,9 +550,7 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     child = _fork(clean)
     try:
-        # `validate` has parsed both, so neither load can fail here
-        reference = load_ontology(Path(config.reference_axioms))
-        domain = load_ontology(Path(config.domain_ontology))
+        reference, domain = schemas["reference_axioms"], schemas["domain_ontology"]
         steps = {
             "ingest": lambda kg: ingest_phase(config.scored_triples),
             "refine": lambda kg: refine_phase(kg, reference, configs["refine"]),

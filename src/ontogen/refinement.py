@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RDF_TYPE, KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple
-from .model import connected_components
+from .model import connected_components, is_schema_triple
 
 log = logging.getLogger(__name__)
 
@@ -321,10 +321,11 @@ def prune_disconnected(
     removed_nodes = sorted((n for comp in components[1:] for n in comp), key=Term.sort_key)
     gone = set(removed_nodes)
     removed = [
-        st for st in kg.data_statements if st.triple.subject in gone or st.triple.object in gone
+        st for st in kg.statements()
+        if (st.triple.subject in gone if st.triple.predicate.value == RDF_TYPE
+            else not is_schema_triple(st.triple)
+            and (st.triple.subject in gone or st.triple.object in gone))
     ]
-    removed += (st for st in kg.with_predicate(RDF_TYPE) if st.triple.subject in gone)
-    removed.sort(key=lambda st: st.triple.sort_key())
     return kg.without(st.triple for st in removed), removed_nodes, removed
 
 

@@ -246,7 +246,6 @@ class TestCanonicalOrderCache:
             lambda: kg.schema_statements,
             lambda: kg.type_assertions(),
             lambda: kg.with_predicate(RDF_TYPE),
-            lambda: kg.about(iri("m")),
         ):
             first = read()
             snapshot = list(first)
@@ -308,7 +307,6 @@ def _brute_views(store: dict[Triple, ScoredTriple]) -> tuple:
         {(t.subject.value, t.object.value) for t in iri_edges},
         used - declared,
         [[s for s in ordered if s.triple.predicate == p] for p in _PREDICATES],
-        [[s for s in ordered if s.triple.subject == e] for e in _OBJECTS if not e.is_literal],
     )
 
 
@@ -316,7 +314,6 @@ def _all_views(kg: KnowledgeGraph) -> tuple:
     return (
         *_views(kg),
         [kg.with_predicate(p.value) for p in _PREDICATES],
-        [kg.about(e) for e in _OBJECTS if not e.is_literal],
     )
 
 

@@ -106,6 +106,9 @@ MALFORMED_SETTINGS = [
     pytest.param("complete", lambda src, tmp: [
         "complete", "--in", _kinship_nt(tmp), "--top-k", "0", "--out", str(tmp / "out" / "kg.nt"),
     ], id="complete-flag-top-k-0"),
+    # the top-level seed is a run's one seed
+    pytest.param("complete", lambda src, tmp: _run_with(src, tmp, "complete", {"seed": 7}),
+                 id="complete-seed"),
 ]
 
 
@@ -399,6 +402,35 @@ def _demo_copy(src: Path, tmp: Path) -> pipeline.PipelineConfig:
     return config
 
 
+class TestRunInputs:
+    def test_run_seed_trains_and_is_recorded(self, tmp_path, pipeline_fixture_dir, monkeypatch):
+        seeds = []
+        train = completion.train
+
+        def spy(triples, cfg):
+            seeds.append(cfg.seed)
+            return train(triples, cfg)
+
+        monkeypatch.setattr(completion, "train", spy)
+        argv = _run_with(pipeline_fixture_dir, tmp_path, "complete", {"epochs": 1})
+        assert cli_main([*argv, "--seed", "5"]) == 0
+        assert seeds == [5]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 5
+
+    def test_each_ontology_is_parsed_once(self, tmp_path, pipeline_fixture_dir, monkeypatch):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        parsed = []
+        load = pipeline.load_ontology
+
+        def spy(path):
+            parsed.append(Path(path))
+            return load(path)
+
+        monkeypatch.setattr(pipeline, "load_ontology", spy)
+        pipeline.run(config)
+        assert sorted(parsed) == sorted([config.reference_axioms, config.domain_ontology])
+
+
 class TestForkedClean:
     def test_clean_failure_is_raised_and_writes_no_manifest(self, tmp_path, pipeline_fixture_dir,
                                                             forked):
@@ -673,6 +705,14 @@ class TestCli:
                        "--out", str(graph), "--report", str(report)])
         assert rc == 0
         assert graph.stat().st_size > 0 and json.loads(report.read_text())["records"] > 0
+
+    def test_model_out_parent_directory_is_created(self, tmp_path):
+        model = tmp_path / "new" / "dir" / "model.bin"
+        rc = cli_main(["complete", "--in", _kinship_nt(tmp_path), "--dim", "3", "--epochs", "1",
+                       "--out", str(tmp_path / "out.nt"), "--model-out", str(model)])
+        assert rc == 0
+        assert completion.load_model(model).dimension == 3
+        assert (tmp_path / "out.nt").stat().st_size > 0
 
     def test_complete_holdout_metrics(self, tmp_path, pipeline_fixture_dir):
         kg_path = tmp_path / "kg.nt"
