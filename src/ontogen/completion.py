@@ -13,6 +13,7 @@ relation's observed objects.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -632,46 +633,54 @@ def save_model(model: EmbeddingModel, path) -> None:
 
 
 def load_model(path) -> EmbeddingModel:
+    """A `save_model` file; one cut short, with trailing bytes or with an
+    unreadable name is a CompletionError naming `path`."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
+        def read(size: int) -> bytes:
+            if size > end - fh.tell():
+                raise CompletionError(f"{path}: truncated model file")
+            return fh.read(size)
+
         if fh.read(4) != _MAGIC:
             raise CompletionError(f"{path}: not a model file (bad magic)")
-        version, n_e, n_r, d = struct.unpack("<IIII", fh.read(16))
+        version, n_e, n_r, d = struct.unpack("<IIII", read(16))
         if version != _FORMAT_VERSION:
             raise CompletionError(f"{path}: unsupported model version {version}")
-        (e_len,) = struct.unpack("<Q", fh.read(8))
-        e_names = fh.read(e_len).decode("utf-8")
-        (r_len,) = struct.unpack("<Q", fh.read(8))
-        r_names = fh.read(r_len).decode("utf-8")
-        arrays = []
-        for rows in (n_e, n_e, n_r, n_r):
-            buf = fh.read(rows * d * 8)
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(rows, d).copy())
-    entity_terms = [parse_term(s) for s in e_names.split("\n")] if e_names else []
-    relation_terms = [parse_term(s) for s in r_names.split("\n")] if r_names else []
-    return EmbeddingModel(
-        arrays[0],
-        arrays[1],
-        arrays[2],
-        arrays[3],
-        {t: i for i, t in enumerate(entity_terms)},
-        {t: i for i, t in enumerate(relation_terms)},
-        d,
-    )
+        (e_len,) = struct.unpack("<Q", read(8))
+        e_names = read(e_len)
+        (r_len,) = struct.unpack("<Q", read(8))
+        r_names = read(r_len)
+        arrays = [
+            np.frombuffer(read(rows * d * 8), dtype="<f8").reshape(rows, d).copy()
+            for rows in (n_e, n_e, n_r, n_r)
+        ]
+        if fh.tell() != end:
+            raise CompletionError(f"{path}: trailing bytes after the model")
+    try:
+        entity_terms = [parse_term(s) for s in e_names.decode().split("\n")] if e_names else []
+        relation_terms = [parse_term(s) for s in r_names.decode().split("\n")] if r_names else []
+    except ValueError as exc:
+        raise CompletionError(f"{path}: bad name block: {exc}") from None
+    entity_index = {t: i for i, t in enumerate(entity_terms)}
+    return EmbeddingModel(*arrays, entity_index, {t: i for i, t in enumerate(relation_terms)}, d)
 
 
 def load_tsv(path) -> list[Triple]:
     """Load a 3-column (head, relation, tail) tab-separated triple file."""
     triples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CompletionError(f"expected 3 tab-separated columns, got {len(parts)}")
-            h, r, t = (p.strip().replace(" ", "_") for p in parts)
-            triples.append(Triple(Term.iri(h), Term.iri(r), Term.iri(t)))
+            parts = [p.strip().replace(" ", "_") for p in line.rstrip("\n").split("\t")]
+            try:
+                if len(parts) != 3:
+                    raise CompletionError(f"expected 3 tab-separated columns, got {len(parts)}")
+                triples.append(Triple(*map(Term.iri, parts)))
+            except ValueError as exc:
+                raise CompletionError(f"{path}:{number}: {exc}") from None
     return triples
 
 

@@ -222,6 +222,7 @@ def correct(
     report.checked = len(kg.data_statements) + len(kg.type_assertions())
 
     deleted: set[Triple] = set()
+    added: list[ScoredTriple] = []
     if reference.disjoint_pairs:
         disjoint_violations = detect_disjointness_violations(kg, reference)
         report.violations.extend(disjoint_violations)
@@ -242,11 +243,9 @@ def correct(
         ]
         report.violations.extend(conflicts)
         for v in conflicts:
-            ev = v.evidence
-            fixed = Triple(ev.kg_triple.subject, ev.kg_triple.predicate, ev.proposed)
-            report.replaced.append((ev.kg_triple, fixed))
+            old = v.evidence.kg_triple
+            fixed = Triple(old.subject, old.predicate, v.evidence.proposed)
+            report.replaced.append((old, fixed))
+            added.append(ScoredTriple(fixed, REFERENCE_CONFIDENCE, kg.statement_for(old).source_id))
 
-    out = kg.without(deleted | {old for old, _ in report.replaced})
-    for old, new in report.replaced:
-        out.add(ScoredTriple(new, REFERENCE_CONFIDENCE, kg.statement_for(old).source_id))
-    return out, report
+    return kg.without(deleted | {old for old, _ in report.replaced}, added), report

@@ -3,8 +3,7 @@
 A KnowledgeGraph keeps every statement in one confidence-tracking store and
 exposes schema statements (type assertions, subclass and domain/range
 declarations) separately from scored data statements.  A phase never edits
-the graph it is given: it derives its output with `without` and adds only
-to the derived graph.
+the graph it is given: it derives its output with `without`.
 
 Terms and triples are slotted, immutable objects that hash once: each
 stores its hash when it is built, with the value the field tuple would
@@ -13,24 +12,24 @@ of hashing the fields.  The parsers intern terms, so one object stands
 for each distinct term of an input and a lookup matches it by identity
 before comparing any field.
 
-The ordered and grouped views read one index: the statements in canonical
-order, and the same statements grouped by predicate IRI, each group in
-canonical order and built on its first read.  The store is sorted once, on
-the first read; after that `add` inserts into (or, on a confidence raise,
-replaces in) the canonical list and drops only the grouping.
-`without(triples)` derives a new graph holding every other statement; its
-index is this graph's canonical list, filtered, so a derived graph is
-never sorted again.  Canonical order sorts by subject first, so a phase
-that lists statements or subjects filters this list instead of sorting.
+A graph is built with `add`, then derived with one call.  `add` updates
+only the store and drops the cached views.  The ordered and grouped views
+read the statements in canonical order, sorted on the first read, and the
+same statements grouped by predicate IRI, each group in canonical order and
+built on its first read.  `without(triples, added)` derives a new graph:
+this graph's canonical list, filtered, with the additions it keeps sorted
+once and merged in, so no statement it keeps is sorted again.  Canonical
+order sorts by subject first, so a phase that lists statements or subjects
+filters this list instead of sorting.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import islice
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -184,24 +183,6 @@ def _canonical_key(st: ScoredTriple) -> tuple:
     return st.triple.sort_key()
 
 
-class _Index:
-    """The statements of a store in canonical order, and the same statements
-    grouped by predicate IRI, each group in canonical order.  The grouping
-    is built on its first read; `KnowledgeGraph.add` hands the updated list
-    to a new index, so it never goes stale."""
-
-    def __init__(self, statements: list[ScoredTriple]) -> None:
-        """`statements` must already be in canonical order."""
-        self.statements = statements
-
-    @cached_property
-    def by_predicate(self) -> dict[str, list[ScoredTriple]]:
-        out: dict[str, list[ScoredTriple]] = {}
-        for st in self.statements:
-            out.setdefault(st.triple.predicate.value, []).append(st)
-        return out
-
-
 class KnowledgeGraph:
     """Set-semantics triple store split into schema and data views.
 
@@ -212,8 +193,9 @@ class KnowledgeGraph:
 
     def __init__(self) -> None:
         self._store: dict[Triple, ScoredTriple] = {}
-        # None until the next read through the index
-        self._idx: _Index | None = None
+        # the canonical list and its per-predicate grouping, None until read
+        self._sorted: list[ScoredTriple] | None = None
+        self._groups: dict[str, list[ScoredTriple]] | None = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -227,62 +209,69 @@ class KnowledgeGraph:
         return self._store == other._store
 
     def add(self, st: ScoredTriple) -> None:
-        """Insert a statement; an existing copy keeps the max confidence.
-
-        On an indexed graph the statement goes into the canonical list at
-        its place (or replaces the copy it raises), and only the lazy
-        grouping is dropped, so the store is not sorted again."""
+        """Insert a statement; an existing copy keeps the max confidence."""
         old = self._store.get(st.triple)
         if old is not None and st.confidence <= old.confidence:
             return
         self._store[st.triple] = st
-        if self._idx is not None:
-            canonical = self._idx.statements
-            if old is None:
-                insort(canonical, st, key=_canonical_key)
-            else:
-                start = bisect_left(canonical, st.triple.sort_key(), key=_canonical_key)
-                canonical[canonical.index(old, start)] = st
-            self._idx = _Index(canonical)
+        self._sorted = self._groups = None
 
     def add_triple(self, t: Triple, confidence: float = 1.0, source_id: str | None = None) -> None:
         self.add(ScoredTriple(t, confidence, source_id))
 
-    def without(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        """A new graph holding every statement not in `triples`.
-
-        Its store is a copy of this one's and its index this graph's
-        canonical list, filtered by statement identity, so the statements
-        it keeps are neither hashed nor sorted again."""
+    def without(
+        self, triples: Iterable[Triple], added: Iterable[ScoredTriple] = ()
+    ) -> KnowledgeGraph:
+        """A new graph holding every statement not in `triples`, then each of
+        `added` as `add` would insert it.  Its canonical list is this graph's,
+        filtered by statement identity, with the kept additions sorted once
+        and merged in after any equal key: no kept statement is sorted again."""
         kg = KnowledgeGraph()
-        kg._store = dict(self._store)
-        gone = {id(kg._store.pop(t)) for t in set(triples) if t in kg._store}
-        kg._idx = _Index([st for st in self._index().statements if id(st) not in gone])
+        kg._store = store = dict(self._store)
+        gone = {id(store.pop(t)) for t in set(triples) if t in store}
+        added = list(added)
+        for st in added:
+            kg.add(st)
+        new = {st.triple: st for st in added if store[st.triple] is st}
+        gone.update(id(self._store[t]) for t in new if t in self._store)
+        parent = self._canonical()
+        rest, start = iter(parent), 0
+        kg._sorted = out = []
+        for st in sorted(new.values(), key=_canonical_key):
+            stop = bisect_right(parent, st.triple.sort_key(), start, key=_canonical_key)
+            out += (s for s in islice(rest, stop - start) if id(s) not in gone)
+            out.append(st)
+            start = stop
+        out += (s for s in rest if id(s) not in gone)
         return kg
 
-    def _index(self) -> _Index:
-        if self._idx is None:
-            self._idx = _Index(sorted(self._store.values(), key=_canonical_key))
-        return self._idx
+    def _canonical(self) -> list[ScoredTriple]:
+        if self._sorted is None:
+            self._sorted = sorted(self._store.values(), key=_canonical_key)
+        return self._sorted
 
     def statements(self) -> list[ScoredTriple]:
         """All statements sorted canonically, at their current confidence."""
-        return list(self._index().statements)
+        return list(self._canonical())
 
     def triples(self) -> list[Triple]:
-        return [st.triple for st in self._index().statements]
+        return [st.triple for st in self._canonical()]
 
     @property
     def schema_statements(self) -> list[Triple]:
-        return [st.triple for st in self._index().statements if is_schema_triple(st.triple)]
+        return [st.triple for st in self._canonical() if is_schema_triple(st.triple)]
 
     @property
     def data_statements(self) -> list[ScoredTriple]:
-        return [st for st in self._index().statements if not is_schema_triple(st.triple)]
+        return [st for st in self._canonical() if not is_schema_triple(st.triple)]
 
     def with_predicate(self, predicate: str) -> list[ScoredTriple]:
         """Statements whose predicate IRI is `predicate`, in canonical order."""
-        return list(self._index().by_predicate.get(predicate, []))
+        if self._groups is None:
+            self._groups = {}
+            for st in self._canonical():
+                self._groups.setdefault(st.triple.predicate.value, []).append(st)
+        return list(self._groups.get(predicate, []))
 
     def statement_for(self, t: Triple) -> ScoredTriple | None:
         return self._store.get(t)

@@ -141,7 +141,11 @@ class PipelineConfig:
         options field `_SECTIONS` names, `complete.train_extra` to its path
         field, relative paths resolve against the file's directory, and no
         value is converted."""
-        raw = yaml.safe_load(path.read_text("utf-8")) or {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ValidationError([f"{path}: {exc}"]) from None
         if not isinstance(raw, dict):
             raise ValidationError([f"{path}: config must be a mapping"])
         given = {key: raw[key] for key in ("seed", *_PATHS) if key in raw}
@@ -409,10 +413,7 @@ def complete_phase(
             Path(model_out).parent.mkdir(parents=True, exist_ok=True)
             completion.save_model(model, model_out)
     report["predicted_count"] = len(predictions)
-    out = kg.without(())
-    for st in predictions:
-        out.add(st)
-    return out, report
+    return kg.without((), predictions), report
 
 
 def map_phase(kg: KnowledgeGraph, domain: OntologySchema) -> tuple[KnowledgeGraph, dict]:

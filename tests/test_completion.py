@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -786,10 +787,25 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.entity_re, model.entity_re)
         np.testing.assert_array_equal(loaded.relation_im, model.relation_im)
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(CompletionError, match="magic"):
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            pytest.param(lambda good: b"NOPE" + good[4:], "bad magic", id="bad-magic"),
+            pytest.param(lambda good: b"", "bad magic", id="empty"),
+            pytest.param(lambda good: good[:10], "truncated", id="10-bytes"),
+            pytest.param(lambda good: good[:30], "truncated", id="cut-in-the-names"),
+            pytest.param(lambda good: good[:-8], "truncated", id="8-bytes-short"),
+            pytest.param(lambda good: good + b"\0\0", "trailing bytes", id="2-trailing-bytes"),
+            pytest.param(lambda good: good[:30] + b"\xff" + good[31:], "bad name", id="not-utf8"),
+            pytest.param(lambda good: good[:30] + b"<" + good[31:], "bad name", id="bad-iri"),
+        ],
+    )
+    def test_damaged_file_rejected(self, damage, match, tmp_path):
+        model = train(ff.kinship_triples(n_families=1), TrainConfig(dimension=4, epochs=1))
+        good, path = tmp_path / "model.bin", tmp_path / "damaged.bin"
+        save_model(model, good)
+        path.write_bytes(damage(good.read_bytes()))
+        with pytest.raises(CompletionError, match=f"^{re.escape(str(path))}: .*{match}"):
             load_model(path)
 
     def test_tsv_loader(self, tmp_path):
@@ -798,6 +814,13 @@ class TestPersistence:
         triples = load_tsv(path)
         assert len(triples) == 2
         assert triples[1].object == Term.iri("c_c")
-        path.write_text("a\tb\n", encoding="utf-8")
-        with pytest.raises(CompletionError):
-            load_tsv(path)
+        for text, line, message in (
+            ("a\tb\n", 1, "expected 3 tab-separated columns, got 2"),
+            ("a\tr\tb\n\nx<y\tr\tz\n", 3, "invalid IRI 'x<y'"),
+            ("a\tr\tb\na\t\tb\n", 2, "invalid IRI ''"),
+            ("a\tr\tb\tc\n", 1, "expected 3 tab-separated columns, got 4"),
+        ):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CompletionError) as err:
+                load_tsv(path)
+            assert str(err.value) == f"{path}:{line}: {message}"

@@ -274,7 +274,15 @@ _ops = st.lists(
             st.sampled_from([0.1, 0.5, 0.9]),
             st.sampled_from([None, "src"]),
         ),
-        st.tuples(st.just("without"), st.integers(0, 3), st.lists(_triples, max_size=3)),
+        st.tuples(
+            st.just("without"),
+            st.integers(0, 3),
+            st.lists(_triples, max_size=3),
+            st.lists(
+                st.tuples(_triples, st.sampled_from([0.1, 0.5, 0.9]), st.sampled_from([None, "x"])),
+                max_size=3,
+            ),
+        ),
     ),
     max_size=30,
 )
@@ -318,9 +326,10 @@ def _all_views(kg: KnowledgeGraph) -> tuple:
 
 
 class TestAddKeepsTheCanonicalOrder:
-    """Adds to an indexed graph, derived by `without`, insert into its
-    canonical list: the statements equal the store sorted from scratch, and
-    the graph is never sorted again."""
+    """`without(removed, added)` on a graph that has been read filters its
+    canonical list and merges in the additions it keeps: every view equals a
+    scan of the expected store, the parent is unchanged, and the one sort is
+    over the kept additions."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_without_then_add_matches_a_fresh_sort(self, seed, monkeypatch):
@@ -335,31 +344,48 @@ class TestAddKeepsTheCanonicalOrder:
         kg = KnowledgeGraph()
         for _ in range(300):
             kg.add(ScoredTriple(random_triple(), rng.choice([0.2, 0.5, 0.8])))
-        kg.statements()
-        derived = kg.without(rng.sample(kg.triples(), 60) + [random_triple() for _ in range(5)])
-        expected = {s.triple: s for s in derived.statements()}
+        parent = {s.triple: s for s in kg.statements()}
+        removed = rng.sample(list(parent), 60) + [random_triple() for _ in range(5)]
+        expected = {t: s for t, s in parent.items() if t not in removed}
 
-        sorts = []
-        monkeypatch.setattr(model, "sorted", lambda *a, **kw: sorts.append(1) or sorted(*a, **kw),
-                            raising=False)
+        # new, stronger, weaker and repeated additions, removed triples among them
+        added: list[ScoredTriple] = []
         for _ in range(150):
-            t = rng.choice(list(expected)) if rng.random() < 0.4 else random_triple()
+            roll = rng.random()
+            if roll < 0.4:
+                t = rng.choice(list(parent))
+            elif roll < 0.6 and added:
+                t = rng.choice(added).triple
+            else:
+                t = random_triple()
             st_ = ScoredTriple(t, rng.choice([0.1, 0.6, 0.9, 1.0]), rng.choice([None, "x"]))
-            derived.add(st_)
+            added.append(st_)
             if t not in expected or st_.confidence > expected[t].confidence:
                 expected[t] = st_
-            if rng.random() < 0.1:
-                derived.with_predicate(RDF_TYPE)  # groupings are rebuilt after a later add
-        got = derived.statements()
-        assert sorts == []
-        assert got == sorted(expected.values(), key=lambda s: s.triple.sort_key())
+        added_ids = {id(s) for s in added}
+        kept = {id(s) for s in expected.values() if id(s) in added_ids}
+        assert kept and len(kept) < len(added)
+
+        sorts = []
+
+        def counting_sort(items, **kw):
+            items = list(items)
+            sorts.append(items)
+            return sorted(items, **kw)
+
+        monkeypatch.setattr(model, "sorted", counting_sort, raising=False)
+        derived = kg.without(removed, added)
         assert _all_views(derived) == _brute_views(expected)
+        assert len(sorts) == 1 and len(sorts[0]) == len(kept)
+        assert {id(s) for s in sorts[0]} == kept
+        assert _all_views(kg) == _brute_views(parent)
 
 
 class TestIndexOracle:
-    """Every view of the index equals a scan of a plain dict after each of a
+    """Every view of a graph equals a scan of a plain dict after each of a
     random sequence of adds (new, stronger, weaker) and derivations by
-    `without`, on the derived graphs and on the graphs they came from."""
+    `without` with removals and additions, on the derived graphs and on the
+    graphs they came from."""
 
     @given(_ops)
     def test_views_match_a_scan_after_every_step(self, ops):
@@ -373,8 +399,13 @@ class TestIndexOracle:
                 if t not in expected or conf > expected[t].confidence:
                     expected[t] = ScoredTriple(t, conf, source)
             else:
-                derived = kg.without(op[2])
-                exp = {t: s for t, s in expected.items() if t not in op[2]}
+                _, _, removed, added = op
+                added = [ScoredTriple(*a) for a in added]
+                derived = kg.without(removed, added)
+                exp = {t: s for t, s in expected.items() if t not in removed}
+                for a in added:
+                    if a.triple not in exp or a.confidence > exp[a.triple].confidence:
+                        exp[a.triple] = a
                 if len(graphs) < 4:
                     graphs.append((derived, exp))
                 else:

@@ -802,6 +802,19 @@ class TestCli:
         bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert cli_main(["run", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file or directory"), ("seed: [1, 2\n", "while parsing a flow sequence")],
+        ids=["missing", "not-yaml"],
+    )
+    def test_unreadable_config_is_a_validation_failure(self, text, message, tmp_path, capsys):
+        path = tmp_path / "pipeline.yaml"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config: {path}: ") and message in err
+
     def test_phase_failure_exit_code(self, tmp_path, pipeline_fixture_dir):
         # syntactically broken axiom file passes existence checks but
         # cannot be parsed -> validation diagnostic -> exit 1; a bad
