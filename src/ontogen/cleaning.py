@@ -89,6 +89,8 @@ class CleanConfig:
     def __post_init__(self) -> None:
         if self.format is not None and self.format not in _CLEANERS:
             raise CleanError(f"format must be one of {', '.join(_CLEANERS)}, got {self.format!r}")
+        # tokens are matched against lowercased text
+        object.__setattr__(self, "denylist", frozenset(w.lower() for w in self.denylist))
 
 
 _FORMAT_BY_EXT = {
@@ -342,6 +344,3 @@ def clean_directory(in_dir: Path, out_dir: Path, cfg: CleanConfig = CleanConfig(
     )
     return summary
 
-
-def load_denylist(path: Path) -> frozenset[str]:
-    return frozenset(w.lower() for w in read_list(path))

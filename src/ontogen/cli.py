@@ -59,7 +59,7 @@ def _config(args, section: str, cls, **list_files):
 # keeps the field's default), read the input, run the phase, `_finish`
 
 def _cmd_clean(args) -> int:
-    cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.load_denylist)
+    cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.read_list)
     report = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg)
     return _finish("clean", None, report, None, None)
 
@@ -81,7 +81,7 @@ def _cmd_correct(args) -> int:
     cfg = _config(args, "correct", correction.CorrectionConfig, functional=cleaning.read_list)
     kg = pipeline.read_graph(Path(args.in_file))
     reference = pipeline.load_ontology(Path(args.axioms))
-    facts = Path(args.reference) if args.reference else None
+    facts = pipeline.read_ntriples(Path(args.reference)) if args.reference else ()
     kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
     return _finish("correct", kg, report, args.out, args.report)
 
@@ -89,7 +89,8 @@ def _cmd_correct(args) -> int:
 def _cmd_complete(args) -> int:
     cfg = _config(args, "complete", completion.TrainConfig, predict_relations=cleaning.read_list)
     kg = pipeline.read_graph(Path(args.in_file))
-    kg, report = pipeline.complete_phase(kg, cfg, args.train_extra, model_out=args.model_out)
+    extra = completion.load_tsv(Path(args.train_extra)) if args.train_extra else ()
+    kg, report = pipeline.complete_phase(kg, cfg, extra, model_out=args.model_out)
     for note in report["notes"]:
         print(note, file=sys.stderr)
     return _finish("complete", kg, report, args.out, args.metrics)
@@ -112,6 +113,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _load(path: Path) -> dict:
+    """The JSON object in `path`, or {} when there is no such file."""
+    return json.loads(path.read_text("utf-8")) if path.is_file() else {}
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -119,12 +125,13 @@ def _cmd_report(args) -> int:
         print(f"no manifest at {manifest_path}", file=sys.stderr)
         return EXIT_VALIDATION
     manifest = json.loads(manifest_path.read_text("utf-8"))
-    timing_path = run_dir / "timing.json"
-    timing = json.loads(timing_path.read_text("utf-8")) if timing_path.is_file() else {}
+    timing = _load(run_dir / "timing.json")
     print(f"run {manifest['config_hash'][:12]} (seed {manifest['seed']})")
     for phase in pipeline.PHASES:
         seconds = f"{timing[phase]:.3f}s" if phase in timing else "?"
         print(f"  {phase:<9} {seconds:>8}  {_render(manifest['phases'].get(phase, {}))}")
+        for note in _load(run_dir / "reports" / f"{phase}.json").get("notes", []):
+            print(f"      note: {note}")
     if timing:
         print("  (clean ran beside the graph phases; total is wall clock, not their sum)")
         print(f"  total     {timing.get('total', '?')}s")

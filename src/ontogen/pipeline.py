@@ -15,6 +15,7 @@ import json
 import os
 import pickle
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from functools import partial
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -215,10 +216,15 @@ def load_ontology(path: Path) -> OntologySchema:
     )
 
 
+def read_ntriples(path: Path) -> list[Triple]:
+    """Triples of an N-Triples file; any diagnostic fails."""
+    return _parse_or_raise(path, parse_ntriples)
+
+
 def read_graph(path: Path) -> KnowledgeGraph:
     """Graph from an N-Triples file, every statement at confidence 1."""
     kg = KnowledgeGraph()
-    for t in _parse_or_raise(path, parse_ntriples):
+    for t in read_ntriples(path):
         kg.add_triple(t)
     return kg
 
@@ -233,21 +239,17 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check(config: PipelineConfig) -> tuple[list[str], dict[str, OntologySchema]]:
+def _check(config: PipelineConfig) -> tuple[list[str], dict]:
     """The config's diagnostics, an empty list when it is runnable, and the
-    `reference_axioms` and `domain_ontology` schemas, by key, each parsed
-    once: a file that is missing or does not parse is a diagnostic."""
+    inputs read before any phase runs, by key, each read once: the
+    `reference_axioms` and `domain_ontology` schemas and, when given, the
+    `reference_facts` and `train_extra` triples.  A file that is missing or
+    does not parse is a diagnostic."""
     out: list[str] = []
-    for name, path, required in (
-        ("scored_triples", config.scored_triples, True),
-        ("reference_axioms", config.reference_axioms, True),
-        ("domain_ontology", config.domain_ontology, True),
-        ("reference_facts", config.reference_facts, False),
-        ("train_extra", config.train_extra, False),
-    ):
-        if path is None:
-            continue
-        if not Path(path).is_file():
+    for name in ("scored_triples", "reference_axioms", "domain_ontology", "reference_facts",
+                 "train_extra"):
+        path = getattr(config, name)
+        if path is not None and not Path(path).is_file():
             out.append(f"{name}: no such file: {path}")
     if config.corpus_dir is not None and not Path(config.corpus_dir).is_dir():
         out.append(f"corpus_dir: no such directory: {config.corpus_dir}")
@@ -257,15 +259,16 @@ def _check(config: PipelineConfig) -> tuple[list[str], dict[str, OntologySchema]
     except ValidationError as exc:
         out += exc.diagnostics
 
-    schemas = {}
-    for label in ("reference_axioms", "domain_ontology"):
-        path = Path(getattr(config, label))
-        if path.is_file():
+    inputs = {}
+    for name, read in (("reference_axioms", load_ontology), ("domain_ontology", load_ontology),
+                       ("reference_facts", read_ntriples), ("train_extra", completion.load_tsv)):
+        path = getattr(config, name)
+        if path is not None and Path(path).is_file():
             try:
-                schemas[label] = load_ontology(path)
+                inputs[name] = read(Path(path))
             except ValueError as exc:
-                out.append(f"{label}: {exc}")
-    return out, schemas
+                out.append(f"{name}: {exc}")
+    return out, inputs
 
 
 def validate(config: PipelineConfig) -> list[str]:
@@ -336,13 +339,12 @@ def correct_phase(
     kg: KnowledgeGraph,
     reference: OntologySchema,
     cfg: correction.CorrectionConfig,
-    reference_facts: Path | None = None,
+    reference_facts: Sequence[Triple] = (),
 ) -> tuple[KnowledgeGraph, dict]:
-    """Correct against the reference axioms, first adding the N-Triples
-    `reference_facts` to the reference schema's facts."""
-    if reference_facts is not None:
-        facts = _parse_or_raise(Path(reference_facts), parse_ntriples)
-        reference = replace(reference, facts=reference.facts | set(facts))
+    """Correct against the reference axioms, first adding the
+    `reference_facts` triples to a copy of the reference schema's facts."""
+    if reference_facts:
+        reference = replace(reference, facts=reference.facts | set(reference_facts))
     kg, report = correction.correct(kg, reference, cfg)
     return kg, {
         "checked": report.checked,
@@ -359,7 +361,7 @@ def correct_phase(
 def complete_phase(
     kg: KnowledgeGraph,
     cfg: completion.TrainConfig,
-    train_extra: Path | None = None,
+    train_extra: Sequence[Triple] = (),
     sim_threshold: float = correction.CorrectionConfig.sim_threshold,
     model_out: Path | None = None,
 ) -> tuple[KnowledgeGraph, dict]:
@@ -375,9 +377,8 @@ def complete_phase(
     predictions: list = []
     relations = [Term.iri(r) for r in sorted(cfg.predict_relations)]
     pool = completion.training_triples(kg)
-    if train_extra is not None:
-        extra = set(completion.load_tsv(Path(train_extra)))
-        pool = sorted(extra.union(pool), key=Triple.sort_key)
+    if train_extra:
+        pool = sorted(set(train_extra).union(pool), key=Triple.sort_key)
     if not pool:
         report["notes"].append("no resource-object statements; training skipped")
     elif not relations:
@@ -523,7 +524,7 @@ def run(config: PipelineConfig) -> PipelineResult:
     forked child beside ingest -> map; a failed clean is raised before a
     graph phase's error, as if it had run first.  `timing.json` holds each
     phase's own seconds and, as `total`, the run's wall clock."""
-    diagnostics, schemas = _check(config)
+    diagnostics, inputs = _check(config)
     if diagnostics:
         raise ValidationError(diagnostics)
     configs = config.phase_configs()
@@ -551,14 +552,14 @@ def run(config: PipelineConfig) -> PipelineResult:
 
     child = _fork(clean)
     try:
-        reference, domain = schemas["reference_axioms"], schemas["domain_ontology"]
+        reference, domain = inputs["reference_axioms"], inputs["domain_ontology"]
         steps = {
             "ingest": lambda kg: ingest_phase(config.scored_triples),
             "refine": lambda kg: refine_phase(kg, reference, configs["refine"]),
             "correct": lambda kg: correct_phase(
-                kg, reference, configs["correct"], config.reference_facts),
+                kg, reference, configs["correct"], inputs.get("reference_facts", ())),
             "complete": lambda kg: complete_phase(
-                kg, configs["complete"], config.train_extra,
+                kg, configs["complete"], inputs.get("train_extra", ()),
                 sim_threshold=configs["correct"].sim_threshold),
             "map": lambda kg: map_phase(kg, domain),
         }

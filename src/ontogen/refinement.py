@@ -75,12 +75,13 @@ class RefinementReport:
 
 def threshold_filter(
     kg: KnowledgeGraph, cfg: RefineConfig
-) -> tuple[KnowledgeGraph, list[ScoredTriple], list[ScoredTriple]]:
-    """Partition data statements into kept / removed / borderline band.
+) -> tuple[list[ScoredTriple], list[ScoredTriple]]:
+    """Partition data statements into removed / borderline band, both in
+    canonical order.
 
     Below the low threshold is removed outright; the closed band
-    [low, upper] goes to LOF validation; above the band is kept.  Schema
-    statements always stay.  The kept graph is `kg` without the other two.
+    [low, upper] goes to LOF validation; the rest, every statement above
+    the band and every schema statement, is kept.
     """
     removed: list[ScoredTriple] = []
     band: list[ScoredTriple] = []
@@ -89,7 +90,7 @@ def threshold_filter(
             removed.append(st)
         elif st.confidence <= cfg.band_upper:
             band.append(st)
-    return kg.without(st.triple for st in removed + band), removed, band
+    return removed, band
 
 
 def _distance_rows(pts: np.ndarray, start: int, stop: int, diff: np.ndarray) -> np.ndarray:
@@ -255,33 +256,26 @@ def _context_sample(kept: list[ScoredTriple], limit: int = CONTEXT_POOL) -> list
 
 def validate_band(
     band: list[ScoredTriple], kg: KnowledgeGraph, cfg: RefineConfig
-) -> tuple[list[ScoredTriple], list[tuple[ScoredTriple, float]]]:
-    """LOF-check borderline statements against a kept-statement context pool.
+) -> list[tuple[ScoredTriple, float]]:
+    """The band statements to remove, each with its LOF score, in canonical
+    order: those scoring above the LOF threshold against a context pool
+    drawn from `kg`'s data statements above the band.
 
-    Band statements scoring above the LOF threshold are removed.  A band no
-    larger than k cannot be scored and is kept with a warning.
+    A band no larger than k cannot be scored and is kept with a warning.
     """
     if not band:
-        return [], []
+        return []
     band = sorted(band, key=lambda s: s.triple.sort_key())
     if len(band) <= cfg.lof_k:
         log.warning("band of %d statements <= lof_k=%d; keeping all", len(band), cfg.lof_k)
-        return band, []
+        return []
 
     # band statements are never rdf:type (threshold_filter keeps every schema
-    # statement), so kg's class map is also the class map of kg plus the band
-    context = _context_sample(kg.data_statements)
+    # statement), so kg's class map is also that of kg without the band
+    context = _context_sample([st for st in kg.data_statements if st.confidence > cfg.band_upper])
     points = _minmax(triple_features(band + context, kg))
     scores = lof_scores(points, cfg.lof_k)[: len(band)]
-
-    kept: list[ScoredTriple] = []
-    removed: list[tuple[ScoredTriple, float]] = []
-    for st, score in zip(band, scores):
-        if score > cfg.lof_threshold:
-            removed.append((st, float(score)))
-        else:
-            kept.append(st)
-    return kept, removed
+    return [(st, float(score)) for st, score in zip(band, scores) if score > cfg.lof_threshold]
 
 
 def implausible_links(kg: KnowledgeGraph, schema: OntologySchema | None) -> list[ImplausibleLink]:
@@ -335,13 +329,12 @@ def refine(
     """Run the full anomaly-exclusion phase."""
     report = RefinementReport()
 
-    kept, removed, band = threshold_filter(kg, cfg)
-    report.removed_by_threshold = removed
+    report.removed_by_threshold, band = threshold_filter(kg, cfg)
     if len(band) <= cfg.lof_k and band:
         report.notes.append(f"band of {len(band)} statements <= lof_k={cfg.lof_k}; LOF skipped")
-    _, band_removed = validate_band(band, kept, cfg)
-    report.removed_by_lof = band_removed
-    kept = kg.without([st.triple for st in removed] + [st.triple for st, _ in band_removed])
+    report.removed_by_lof = validate_band(band, kg, cfg)
+    kept = kg.without([st.triple for st in report.removed_by_threshold]
+                      + [st.triple for st, _ in report.removed_by_lof])
 
     report.removed_implausible = implausible_links(kept, schema)
     kept = kept.without(item.statement.triple for item in report.removed_implausible)

@@ -16,7 +16,6 @@ from ontogen.cleaning import (
     clean,
     clean_directory,
     is_sentence,
-    load_denylist,
     read_list,
 )
 
@@ -34,7 +33,26 @@ class TestReadList:
     def test_denylist_is_lowercased(self, tmp_path):
         path = tmp_path / "deny.txt"
         path.write_text("  # ads\nSponsored\n  Promo  \n", "utf-8")
-        assert load_denylist(path) == frozenset({"sponsored", "promo"})
+        assert CleanConfig(denylist=read_list(path)).denylist == frozenset({"sponsored", "promo"})
+
+    def test_config_denylist_and_denylist_file_clean_alike(self, tmp_path):
+        from ontogen import pipeline
+        from ontogen.cli import main as cli_main
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "page.html").write_text(
+            '<html><body><p>The company reported strong growth this year.</p>'
+            '<div class="promo-box"><p>Readers subscribed today for a special offer.</p></div>'
+            "</body></html>", "utf-8")
+        (tmp_path / "deny.txt").write_text("Promo\n", "utf-8")
+        cfg = pipeline.phase_config("clean", CleanConfig, {"denylist": ["Promo"]})
+        clean_directory(corpus, tmp_path / "config", cfg)
+        assert cli_main(["clean", "--in", str(corpus), "--out", str(tmp_path / "file"),
+                         "--denylist", str(tmp_path / "deny.txt")]) == 0
+        by_config, by_file = _records(tmp_path / "config"), _records(tmp_path / "file")
+        assert [r["text"] for r in by_config] == ["The company reported strong growth this year."]
+        assert by_file == by_config
 
 
 class TestIsSentence:

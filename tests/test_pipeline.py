@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +19,7 @@ from ontogen.completion import TrainConfig
 from ontogen.model import KnowledgeGraph, Term, Triple
 from ontogen.refinement import RefineConfig
 from ontogen.rdf_io import parse_ntriples, render_triple
+from test_refinement import _typed_island_graph
 
 
 def _run_with(src: Path, tmp: Path, key: str, value) -> list[str]:
@@ -161,6 +164,18 @@ class TestValidate:
         config.reference_axioms = tmp_path / "gone.ttl"
         diagnostics = pipeline.validate(config)
         assert any("gone.ttl" in d for d in diagnostics)
+
+    def test_bad_train_extra_row_is_a_diagnostic(self, pipeline_config_path, tmp_path, forked):
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        config.train_extra = tmp_path / "extra.tsv"
+        config.train_extra.write_text(f"{ff.EX}a\t{MARRIED}\t{ff.EX}b\n{ff.EX}a\tb\n", "utf-8")
+        config.output_dir = tmp_path / "out"
+        expected = [f"train_extra: {config.train_extra}:2: expected 3 tab-separated columns, got 2"]
+        assert pipeline.validate(config) == expected
+        with pytest.raises(pipeline.ValidationError) as caught:
+            pipeline.run(config)
+        assert caught.value.diagnostics == expected
+        assert forked == [] and not config.output_dir.exists()
 
     def test_run_refuses_invalid_config(self, pipeline_config_path, tmp_path):
         config = pipeline.PipelineConfig.from_file(pipeline_config_path)
@@ -350,6 +365,63 @@ class TestRunArtifacts:
         assert config.config_hash() == before
 
 
+#: graph phase -> its report's (removed, added) statement lines
+LISTED = {
+    "refine": lambda r: (r["removed_by_threshold"] + [x["triple"] for x in r["removed_by_lof"]]
+                         + [x["triple"] for x in r["removed_implausible"]]
+                         + r["removed_disconnected"], []),
+    "correct": lambda r: (r["deleted"] + [x["old"] for x in r["replaced"]],
+                          [x["new"] for x in r["replaced"]]),
+    "complete": lambda r: ([], [x["triple"] for x in r["predictions"]]),
+    "map": lambda r: (r["removed"], []),
+}
+
+
+def _assert_accounted(phase: str, before: set[str], after: set[str], report: dict) -> None:
+    """The lines `phase` removed and added are exactly those its report lists."""
+    removed, added = LISTED[phase](report)
+    assert sorted(before - after) == sorted(removed), phase
+    assert sorted(after - before) == sorted(added), phase
+
+
+class TestAccounting:
+    def test_each_artifact_differs_from_the_last_by_its_report(self, pipeline_run):
+        out = Path(pipeline_run[0].output_dir)
+        phases = pipeline.PHASES[1:]
+        lines = {p: set((out / pipeline.ARTIFACTS[p]).read_text("utf-8").splitlines())
+                 for p in phases}
+        for last, phase in zip(phases, phases[1:]):
+            report = json.loads((out / "reports" / f"{phase}.json").read_text("utf-8"))
+            _assert_accounted(phase, lines[last], lines[phase], report)
+            assert lines[last] != lines[phase], phase
+
+    def test_typed_island_types_are_accounted(self):
+        kg = _typed_island_graph()
+        refined, report = pipeline.refine_phase(kg, None, RefineConfig())
+        before = {render_triple(t) for t in kg.triples()}
+        _assert_accounted("refine", before, {render_triple(t) for t in refined.triples()}, report)
+        assert len(report["removed_disconnected"]) == 5
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, pipeline_fixture_dir):
+        # set iteration order changes only between processes
+        argv = _run_with(pipeline_fixture_dir, tmp_path, "complete", {"epochs": 20})
+        src = str(Path(pipeline.__file__).parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            outs.append(tmp_path / f"out-{seed}")
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "ontogen.cli", *argv, "--output-dir",
+                            str(outs[-1])], env=env, check=True, capture_output=True, timeout=300)
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+        assert files[0] == files[1] and Path("ontology.nt") in files[0]
+        for name in files[0]:
+            if name != Path("timing.json"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestEmptyInputs:
     def test_empty_corpus_and_triples(self, tmp_path):
         (tmp_path / "triples.jsonl").write_text("", encoding="utf-8")
@@ -446,10 +518,10 @@ class TestForkedClean:
 
     def test_graph_failure_waits_for_the_whole_clean(self, tmp_path, pipeline_fixture_dir, forked):
         config = _demo_copy(pipeline_fixture_dir, tmp_path)
-        config.reference_facts.write_text("garbage here\n", encoding="utf-8")
+        config.scored_triples.write_bytes(b"caf\xe9 \xff\xfe\n")
         with pytest.raises(pipeline.PhaseError) as caught:
             pipeline.run(config)
-        assert caught.value.phase == "correct"
+        assert caught.value.phase == "ingest"
         _assert_reaped(forked)
         expected = tmp_path / "expected"
         cleaning.clean_directory(config.corpus_dir, expected, config.phase_configs()["clean"])
@@ -470,7 +542,7 @@ class TestForkedClean:
     def test_clean_failure_comes_before_a_graph_failure(self, tmp_path, pipeline_fixture_dir,
                                                         forked, monkeypatch):
         config = _demo_copy(pipeline_fixture_dir, tmp_path)
-        config.reference_facts.write_text("garbage here\n", encoding="utf-8")
+        config.scored_triples.write_bytes(b"caf\xe9 \xff\xfe\n")
         monkeypatch.setattr(pipeline, "clean_phase", lambda *args: os._exit(3))
         with pytest.raises(pipeline.PhaseError) as caught:
             pipeline.run(config)
@@ -567,8 +639,8 @@ class TestRefinePhase:
 
 class TestCorrectPhase:
     def test_reference_schema_is_left_as_given(self, pipeline_fixture_dir):
-        facts = pipeline_fixture_dir / "reference_facts.nt"
-        assert read_graph_triples(facts)
+        facts = pipeline.read_ntriples(pipeline_fixture_dir / "reference_facts.nt")
+        assert facts
         reference = pipeline.load_ontology(pipeline_fixture_dir / "reference_axioms.ttl")
         before = set(reference.facts)
         pipeline.correct_phase(KnowledgeGraph(), reference, correction.CorrectionConfig(), facts)
@@ -577,15 +649,16 @@ class TestCorrectPhase:
     def test_bad_reference_facts_name_the_file_and_its_first_bad_line(
         self, tmp_path, pipeline_fixture_dir, forked
     ):
+        # the facts are read before any phase runs: no fork, no artifact
         config = _demo_copy(pipeline_fixture_dir, tmp_path)
         good = config.reference_facts.read_text(encoding="utf-8").splitlines()[0]
         config.reference_facts.write_text(f"{good}\ngarbage here\nmore\n", encoding="utf-8")
-        with pytest.raises(pipeline.PhaseError) as caught:
+        with pytest.raises(pipeline.ValidationError) as caught:
             pipeline.run(config)
-        assert caught.value.phase == "correct"
-        assert f"{config.reference_facts}:2: " in str(caught.value)
-        assert str(caught.value).endswith("(+1 more)")
-        _assert_reaped(forked)
+        [diagnostic] = caught.value.diagnostics
+        assert diagnostic.startswith(f"reference_facts: {config.reference_facts}:2: ")
+        assert diagnostic.endswith("(+1 more)")
+        assert forked == [] and not (tmp_path / "out").exists()
 
 
 class TestCompletePhase:
@@ -795,6 +868,24 @@ class TestCli:
             assert line.endswith("  " + ", ".join(f"{k}={v}" for k, v in counts))
         assert any("clean ran beside the graph phases" in ln for ln in lines)
 
+    def test_report_prints_each_phase_notes_under_it(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"config_hash": "ab" * 32, "seed": 7, "phases": {"refine": {"kept": 3}}}))
+        notes = {"refine": ["band of 3 statements <= lof_k=5; LOF skipped"],
+                 "complete": ["no candidate relations configured; prediction skipped", "other"],
+                 "map": []}
+        for phase, listed in notes.items():
+            (reports / f"{phase}.json").write_text(json.dumps({"notes": listed, "removed": []}))
+        assert cli_main(["report", "--run-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines[1:]] == [
+            "clean", "ingest", "refine", "note:", "correct", "complete", "note:", "note:", "map"]
+        assert lines[3:5] == ["  refine           ?  kept=3",
+                              "      note: band of 3 statements <= lof_k=5; LOF skipped"]
+        assert lines[7:9] == [f"      note: {note}" for note in notes["complete"]]
+
     def test_validation_exit_code(self, tmp_path, pipeline_config_path):
         raw = yaml.safe_load(pipeline_config_path.read_text())
         raw["scored_triples"] = "does-not-exist.jsonl"
@@ -816,13 +907,12 @@ class TestCli:
         assert err.startswith(f"invalid config: {path}: ") and message in err
 
     def test_phase_failure_exit_code(self, tmp_path, pipeline_fixture_dir):
-        # syntactically broken axiom file passes existence checks but
-        # cannot be parsed -> validation diagnostic -> exit 1; a bad
-        # reference-facts file fails inside the correct phase -> exit 2
+        # scored triples that do not decode as UTF-8 pass every check made
+        # before the phases run and fail inside ingest -> exit 2
         src = pipeline_fixture_dir
         work = tmp_path / "work"
         shutil.copytree(src, work)
-        (work / "reference_facts.nt").write_text("garbage here\n", encoding="utf-8")
+        (work / "triples.jsonl").write_bytes(b"caf\xe9 \xff\xfe\n")
         raw = yaml.safe_load((work / "pipeline.yaml").read_text())
         raw["output_dir"] = str(tmp_path / "out")
         cfg = work / "pipeline.yaml"

@@ -209,18 +209,15 @@ class TestThresholdFilter:
         kg = KnowledgeGraph()
         for i, conf in enumerate((0.29, 0.30, 0.50, 0.51)):
             kg.add(st_triple(f"s{i}", "p", f"o{i}", conf))
-        kept, removed, band = threshold_filter(kg, RefineConfig())
+        removed, band = threshold_filter(kg, RefineConfig())
         assert [s.confidence for s in removed] == [0.29]
         assert sorted(s.confidence for s in band) == [0.30, 0.50]
-        assert [s.confidence for s in kept.data_statements] == [0.51]
 
     def test_all_high_confidence(self):
         kg = KnowledgeGraph()
         for i in range(5):
             kg.add(st_triple(f"s{i}", "p", "o", 1.0))
-        kept, removed, band = threshold_filter(kg, RefineConfig())
-        assert not removed and not band
-        assert len(kept.data_statements) == 5
+        assert threshold_filter(kg, RefineConfig()) == ([], [])
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=200))
@@ -229,7 +226,7 @@ class TestThresholdFilter:
         for i, c in enumerate(confs):
             kg.add(st_triple(f"s{i}", "p", f"o{i}", c))
         cfg = RefineConfig()
-        kept, removed, band = threshold_filter(kg, cfg)
+        removed, band = threshold_filter(kg, cfg)
         uniq = {}  # max-merge duplicates the same way the graph does
         for i, c in enumerate(confs):
             key = (f"s{i}", f"o{i}")
@@ -237,8 +234,8 @@ class TestThresholdFilter:
         n_removed = sum(1 for c in uniq.values() if c < cfg.low_threshold)
         n_band = sum(1 for c in uniq.values() if cfg.low_threshold <= c <= cfg.band_upper)
         n_kept = sum(1 for c in uniq.values() if c > cfg.band_upper)
-        assert (len(removed), len(band), len(kept.data_statements)) == (n_removed, n_band, n_kept)
-        assert len(removed) + len(band) + len(kept.data_statements) == len(uniq)
+        assert (len(removed), len(band)) == (n_removed, n_band)
+        assert len(kg.data_statements) - len(removed) - len(band) == n_kept
 
     def test_bad_config(self):
         with pytest.raises(RefineError):
@@ -257,33 +254,42 @@ def _context_graph(n=40) -> KnowledgeGraph:
 
 class TestValidateBand:
     def test_empty_band(self):
-        kept, removed = validate_band([], _context_graph(), RefineConfig())
-        assert kept == [] and removed == []
+        assert validate_band([], _context_graph(), RefineConfig()) == []
 
     def test_small_band_kept_with_warning(self, caplog):
         kg = _context_graph()
         band = [st_triple("b0", "knows", "b1", 0.4)]
         with caplog.at_level("WARNING"):
-            kept, removed = validate_band(band, kg, RefineConfig())
-        assert kept == band and removed == []
+            removed = validate_band(band, kg, RefineConfig())
+        assert removed == []
         assert any("lof_k" in r.message for r in caplog.records)
 
     def test_band_matching_population_kept(self):
         kg = _context_graph()
         band = [st_triple(f"e{i}", "knows", f"e{(i + 3) % 40}", 0.45) for i in range(10)]
-        kept, removed = validate_band(band, kg, RefineConfig())
-        assert removed == []
-        assert len(kept) == 10
+        assert validate_band(band, kg, RefineConfig()) == []
 
     def test_band_outlier_removed(self):
         kg = _context_graph()
         band = [st_triple(f"e{i}", "knows", f"e{(i + 3) % 40}", 0.45) for i in range(10)]
         # degree-1 endpoints, unique predicate, borderline confidence
         band.append(st_triple("lonely1", "obscureClaim", "lonely2", 0.31))
-        kept, removed = validate_band(band, kg, RefineConfig())
+        removed = validate_band(band, kg, RefineConfig())
         removed_triples = {s.triple for s, _ in removed}
         assert Triple(iri("lonely1"), iri("obscureClaim"), iri("lonely2")) in removed_triples
         assert all(score > RefineConfig().lof_threshold for _, score in removed)
+
+    def test_context_is_the_graph_above_the_band(self):
+        # the band in the graph it is checked against changes nothing: the
+        # context is kg's data statements above band_upper, and the class
+        # map is kg's, which no band statement touches
+        band = [st_triple(f"e{i}", "knows", f"e{(i + 3) % 40}", 0.45) for i in range(10)]
+        band.append(st_triple("lonely1", "obscureClaim", "lonely2", 0.31))
+        kg = _context_graph()
+        kg.add_triple(Triple(iri("e1"), Term.iri(RDF_TYPE), iri("Person")), 0.9)
+        with_band = kg.without((), band)
+        removed = validate_band(band, kg, RefineConfig())
+        assert removed and validate_band(band, with_band, RefineConfig()) == removed
 
 
 def _typed_island_graph() -> KnowledgeGraph:
