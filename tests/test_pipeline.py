@@ -877,7 +877,7 @@ class TestCli:
                  "complete": ["no candidate relations configured; prediction skipped", "other"],
                  "map": []}
         for phase, listed in notes.items():
-            (reports / f"{phase}.json").write_text(json.dumps({"notes": listed, "removed": []}))
+            (reports / f"{phase}.json").write_text(json.dumps({"notes": listed}))
         assert cli_main(["report", "--run-dir", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split()[0] for ln in lines[1:]] == [
