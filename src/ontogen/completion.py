@@ -668,14 +668,16 @@ def load_model(path) -> EmbeddingModel:
 
 
 def load_tsv(path) -> list[Triple]:
-    """Load a 3-column (head, relation, tail) tab-separated triple file."""
+    """Load a 3-column (head, relation, tail) tab-separated triple file,
+    decoded line by line: a bad line fails as `<path>:<line>: ...`."""
     triples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = [p.strip().replace(" ", "_") for p in line.rstrip("\n").split("\t")]
             try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
+                parts = [p.strip().replace(" ", "_") for p in line.rstrip("\n").split("\t")]
                 if len(parts) != 3:
                     raise CompletionError(f"expected 3 tab-separated columns, got {len(parts)}")
                 triples.append(Triple(*map(Term.iri, parts)))

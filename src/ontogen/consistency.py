@@ -9,8 +9,10 @@ statements removed.
 
 from __future__ import annotations
 
-import logging
+from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cache
 
 from .model import (
     LITERAL_RANGE,
@@ -24,8 +26,6 @@ from .model import (
     is_schema_triple,
     reachable,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -54,34 +54,29 @@ class ConsistencyReport:
     retained: int = 0
 
 
-def okg_concepts(kg: KnowledgeGraph) -> set[str]:
-    """Concepts of the generated graph: classes referenced by type assertions."""
-    out = set()
-    for t in kg.type_assertions():
-        if t.object.is_iri and t.object.value not in META_CLASSES:
-            out.add(t.object.value)
-    return out
+def _closure(edges: Iterable[tuple[str, str]]) -> Callable[[frozenset[str]], set[str]]:
+    """`reachable` along `edges`, memoized per start set (results are shared: read only)."""
+    edges = set(edges)
+    return cache(lambda start: reachable(edges, start))
 
 
-def _instances_of(kg: KnowledgeGraph, c: str) -> set[Term]:
-    """Entities typed c or, through the graph's subclass edges, a descendant."""
-    classes = reachable(((parent, child) for child, parent in kg.subclass_edges()), {c})
+def concept_slices(kg: KnowledgeGraph) -> dict[str, list[Triple]]:
+    """Each concept of the graph, a class its type assertions name, in sorted
+    order, with the data statements about its instances (entities typed it
+    or, through the graph's subclass edges, a descendant) in canonical
+    order.  One pass over the data statements fills every slice."""
     by_class = kg.entities_by_class()
-    return set().union(*(by_class.get(cls, set()) for cls in classes))
-
-
-def _concept_slice(kg: KnowledgeGraph, c: str) -> list[Triple]:
-    """Data statements about c's instances, in canonical order."""
-    instances = _instances_of(kg, c)
-    if not instances:
-        log.warning("concept %s has no instances in the generated graph", c)
-        return []
-    return [st.triple for st in kg.data_statements if st.triple.subject in instances]
-
-
-def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
-    """Predicates used on instances typed c, directly or via subclass."""
-    return {t.predicate.value for t in _concept_slice(kg, c)}
+    down = _closure((parent, child) for child, parent in kg.subclass_edges())
+    slices: dict[str, list[Triple]] = {}
+    concepts_of: dict[Term, list[str]] = defaultdict(list)
+    for c in sorted(by_class.keys() - META_CLASSES):
+        slices[c] = []
+        for e in set().union(*(by_class.get(d, ()) for d in down(frozenset({c})))):
+            concepts_of[e].append(c)
+    for st in kg.data_statements:
+        for c in concepts_of.get(st.triple.subject, ()):
+            slices[c].append(st.triple)
+    return slices
 
 
 def _allowed_properties(on: OntologySchema, c: str) -> set[str]:
@@ -95,10 +90,10 @@ def _allowed_properties(on: OntologySchema, c: str) -> set[str]:
     return allowed
 
 
-def epsilon_for_concept(kg: KnowledgeGraph, on: OntologySchema, c: str) -> ConceptInconsistency:
-    """Count the properties on c's instances that the target ontology does
-    not declare for c, collecting the statements that use them."""
-    about = _concept_slice(kg, c)
+def epsilon_for_concept(about: list[Triple], on: OntologySchema, c: str) -> ConceptInconsistency:
+    """Count the properties used in `about`, concept c's slice, that the
+    target ontology does not declare for c, collecting the statements that
+    use them."""
     offending = {t.predicate.value for t in about} - _allowed_properties(on, c)
     affected = [t for t in about if t.predicate.value in offending]
     return ConceptInconsistency(c, offending, len(offending), affected)
@@ -112,15 +107,7 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
     class_map = kg.class_map()
     # superclass closure over both the graph's and the target's edges,
     # computed once per distinct set of asserted classes
-    edges = kg.subclass_edges() | on.subclass_edges
-    closures: dict[frozenset[str], set[str]] = {}
-
-    def closure(found: set[str]) -> set[str]:
-        key = frozenset(found)
-        if key not in closures:
-            closures[key] = reachable(edges, key)
-        return closures[key]
-
+    up = _closure(kg.subclass_edges() | on.subclass_edges)
     for st in kg.data_statements:
         t = st.triple
         decl = on.properties.get(t.predicate.value)
@@ -137,7 +124,7 @@ def domain_range_check(kg: KnowledgeGraph, on: OntologySchema) -> list[DomainRan
                 wrong = LITERAL_RANGE not in declared
             else:
                 expected, found = declared - {LITERAL_RANGE}, class_map.get(entity, ())
-                wrong = expected and found and not (closure(found) & expected)
+                wrong = expected and found and not (up(frozenset(found)) & expected)
             if wrong:
                 violations.append(DomainRangeViolation(
                     t, position, t.predicate.value, frozenset(expected), frozenset(found)))
@@ -168,12 +155,11 @@ def map_to_domain(
     property vocabulary.  The report accounts for all of it.
     """
     report = ConsistencyReport()
-    removed: set[Triple] = set()
-
-    for c in sorted(okg_concepts(kg)):
-        inc = epsilon_for_concept(kg, on, c)
-        report.per_concept.append(inc)
-        removed.update(inc.affected_triples)
+    # a comprehension, so no slice outlives its count
+    report.per_concept = [
+        epsilon_for_concept(about, on, c) for c, about in concept_slices(kg).items()
+    ]
+    removed = {t for inc in report.per_concept for t in inc.affected_triples}
     report.epsilon_total = sum(inc.epsilon_c for inc in report.per_concept)
 
     report.domain_range_violations = domain_range_check(kg, on)

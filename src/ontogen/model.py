@@ -339,8 +339,8 @@ def reachable(edges: Iterable[tuple[str, str]], start: Iterable[str]) -> set[str
     return out
 
 
-def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
-    """Partition data-statement nodes by undirected reachability.
+def connected_components(statements: Iterable[ScoredTriple]) -> list[set[Term]]:
+    """Partition the nodes of the data statements by undirected reachability.
 
     Schema statements do not contribute edges: a shared class would
     otherwise merge unrelated islands through its type assertions.
@@ -360,8 +360,7 @@ def connected_components(kg: KnowledgeGraph) -> list[set[Term]]:
             parent[x], x = root, parent[x]
         return root
 
-    for st in kg.data_statements:
-        t = st.triple
+    for t in (st.triple for st in statements if not is_schema_triple(st.triple)):
         ra = find(parent.setdefault(t.subject, t.subject))
         rb = find(parent.setdefault(t.object, t.object))
         if ra is not rb:

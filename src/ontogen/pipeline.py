@@ -26,6 +26,7 @@ import yaml
 from . import cleaning, completion, consistency, correction, refinement
 from .model import KnowledgeGraph, OntologySchema, Term, Triple, ontology_from_triples
 from .rdf_io import (
+    ParseError,
     parse_ntriples,
     parse_scored_jsonl,
     parse_turtle,
@@ -202,7 +203,10 @@ class PipelineConfig:
 
 
 def _parse_or_raise(path: Path, parse):
-    triples, diags = parse(path.read_bytes())
+    try:
+        triples, diags = parse(path.read_bytes())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if diags:
         first = diags[0]
         raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
@@ -539,8 +543,6 @@ def run(config: PipelineConfig) -> PipelineResult:
         t0 = time.perf_counter()
         try:
             yield
-        except PhaseError:
-            raise
         except Exception as exc:
             raise PhaseError(phase, exc) from exc
         finally:

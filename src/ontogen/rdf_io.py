@@ -378,24 +378,6 @@ def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic
     return out, diagnostics
 
 
-def serialize_scored_jsonl(statements: Iterable[ScoredTriple]) -> bytes:
-    """Write scored statements back out as ingestion records."""
-    lines = []
-    for st in sorted(statements, key=lambda s: s.triple.sort_key()):
-        t = st.triple
-        rec = {
-            "s": ("_:" + t.subject.value) if t.subject.kind == "blank" else t.subject.value,
-            "p": t.predicate.value,
-            "o": t.object.value,
-            "o_kind": "literal" if t.object.is_literal else "iri",
-            "conf": st.confidence,
-        }
-        if st.source_id is not None:
-            rec["id"] = st.source_id
-        lines.append(json.dumps(rec, sort_keys=True))
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-
-
 # ----------------------------------------------------------------------
 # DOT export
 

@@ -278,12 +278,12 @@ def validate_band(
     return [(st, float(score)) for st, score in zip(band, scores) if score > cfg.lof_threshold]
 
 
-def implausible_links(kg: KnowledgeGraph, schema: OntologySchema | None) -> list[ImplausibleLink]:
-    """Flag statements whose (subject-class, predicate, object-class)
-    combination is rare while the predicate is common under another
-    combination."""
-    data = kg.data_statements
-    class_map = kg.class_map()
+def implausible_links(
+    data: list[ScoredTriple], class_map: dict[Term, set[str]], schema: OntologySchema | None
+) -> list[ImplausibleLink]:
+    """Flag data statements whose (subject-class, predicate, object-class)
+    combination, typed by `class_map`, is rare while the predicate is common
+    under another combination."""
     combos = _combo_counts(class_map, data, schema)
     by_predicate: dict[str, list[tuple[tuple, int]]] = {}
     for combo, count in combos.items():
@@ -301,44 +301,50 @@ def implausible_links(kg: KnowledgeGraph, schema: OntologySchema | None) -> list
 
 
 def prune_disconnected(
-    kg: KnowledgeGraph,
-) -> tuple[KnowledgeGraph, list[Term], list[ScoredTriple]]:
-    """Keep only the largest connected component of the data graph.
+    statements: list[ScoredTriple],
+) -> tuple[list[Term], list[ScoredTriple]]:
+    """Keep only the largest connected component of the data graph that
+    `statements`, in canonical order, form.
 
-    Returns the pruned graph, the removed nodes and every removed
-    statement, both in canonical order.  The removed statements are the
-    data statements touching a removed node and the type assertions about
-    one; pure schema statements (class declarations, subclass edges,
-    domain/range) stay.
+    Returns the removed nodes and every removed statement, both in
+    canonical order.  The removed statements are the data statements
+    touching a removed node and the type assertions about one; pure schema
+    statements (class declarations, subclass edges, domain/range) stay.
     """
-    components = connected_components(kg)
+    components = connected_components(statements)
     removed_nodes = sorted((n for comp in components[1:] for n in comp), key=Term.sort_key)
     gone = set(removed_nodes)
     removed = [
-        st for st in kg.statements()
+        st for st in statements
         if (st.triple.subject in gone if st.triple.predicate.value == RDF_TYPE
             else not is_schema_triple(st.triple)
             and (st.triple.subject in gone or st.triple.object in gone))
     ]
-    return kg.without(st.triple for st in removed), removed_nodes, removed
+    return removed_nodes, removed
 
 
 def refine(
     kg: KnowledgeGraph, schema: OntologySchema | None, cfg: RefineConfig = RefineConfig()
 ) -> tuple[KnowledgeGraph, RefinementReport]:
-    """Run the full anomaly-exclusion phase."""
+    """Run the full anomaly-exclusion phase.  Each sub-step reads `kg`'s
+    statements less the removals before it, and the output is derived once."""
     report = RefinementReport()
 
     report.removed_by_threshold, band = threshold_filter(kg, cfg)
     if len(band) <= cfg.lof_k and band:
         report.notes.append(f"band of {len(band)} statements <= lof_k={cfg.lof_k}; LOF skipped")
     report.removed_by_lof = validate_band(band, kg, cfg)
-    kept = kg.without([st.triple for st in report.removed_by_threshold]
-                      + [st.triple for st, _ in report.removed_by_lof])
+    gone = {st.triple for st in report.removed_by_threshold}
+    gone.update(st.triple for st, _ in report.removed_by_lof)
 
-    report.removed_implausible = implausible_links(kept, schema)
-    kept = kept.without(item.statement.triple for item in report.removed_implausible)
+    # threshold and LOF remove no rdf:type, so kg's class map is still that of the rest
+    report.removed_implausible = implausible_links(
+        [st for st in kg.data_statements if st.triple not in gone], kg.class_map(), schema)
+    gone.update(item.statement.triple for item in report.removed_implausible)
 
-    kept, report.disconnected_nodes, report.removed_disconnected = prune_disconnected(kept)
+    report.disconnected_nodes, report.removed_disconnected = prune_disconnected(
+        [st for st in kg.statements() if st.triple not in gone])
+    gone.update(st.triple for st in report.removed_disconnected)
+    kept = kg.without(gone)
     report.kept = len(kept.data_statements)
     return kept, report

@@ -3,14 +3,15 @@ import pytest
 
 import fixture_factory as ff
 from ontogen.consistency import (
-    concept_properties,
+    concept_slices,
     domain_range_check,
     epsilon_for_concept,
     map_to_domain,
-    okg_concepts,
 )
 from ontogen.model import (
     LITERAL_RANGE,
+    META_CLASSES,
+    SCHEMA_PREDICATES,
     KnowledgeGraph,
     OntologySchema,
     PropertyDecl,
@@ -43,8 +44,18 @@ def company_table_kg(n_companies: int = 5) -> KnowledgeGraph:
     return kg
 
 
+def concept_properties(kg: KnowledgeGraph, c: str) -> set[str]:
+    """Predicates used on c's instances, directly or via subclass."""
+    return {t.predicate.value for t in concept_slices(kg).get(c, [])}
+
+
+def concept_epsilon(kg: KnowledgeGraph, on: OntologySchema, c: str):
+    return epsilon_for_concept(concept_slices(kg)[c], on, c)
+
+
 class TestConceptProperties:
     def test_concept_without_instances(self):
+        assert concept_slices(KnowledgeGraph()) == {}
         assert concept_properties(KnowledgeGraph(), "http://example.org/Nothing") == set()
 
     def test_company_concept_lists_the_eleven_properties(self):
@@ -59,6 +70,8 @@ class TestConceptProperties:
         kg.add_triple(Triple(iri("Sub"), Term.iri(RDFS_SUBCLASS_OF), iri("Super")), 0.9)
         kg.add_triple(Triple(iri("e"), RDF_TYPE_T, iri("Sub")), 0.9)
         kg.add_triple(Triple(iri("e"), iri("p"), Term.literal("v")), 0.8)
+        # a concept is a class some type assertion names: f makes Super one
+        kg.add_triple(Triple(iri("f"), RDF_TYPE_T, iri("Super")), 0.9)
         assert concept_properties(kg, "http://example.org/Super") == {"http://example.org/p"}
 
     def test_two_class_fixture_matches_hand_enumeration(self):
@@ -78,7 +91,7 @@ class TestConceptProperties:
 class TestEpsilonForConcept:
     def test_company_epsilon_is_three_against_domain_fixture(self, domain_schema):
         kg = company_table_kg()
-        inc = epsilon_for_concept(kg, domain_schema, ff.cls("Company"))
+        inc = concept_epsilon(kg, domain_schema, ff.cls("Company"))
         assert inc.epsilon_c == 3
         assert inc.offending_properties == {
             ff.prop("previousRank").value,
@@ -92,7 +105,7 @@ class TestEpsilonForConcept:
         c = ff.company(1)
         kg.add_triple(Triple(c, RDF_TYPE_T, Term.iri(ff.cls("Company"))), 0.9)
         kg.add_triple(Triple(c, ff.prop("rank"), Term.literal("1")), 0.8)
-        inc = epsilon_for_concept(kg, domain_schema, ff.cls("Company"))
+        inc = concept_epsilon(kg, domain_schema, ff.cls("Company"))
         assert inc.epsilon_c == 0 and inc.affected_triples == []
 
     def test_property_declared_on_superclass_not_offending(self, domain_schema):
@@ -101,7 +114,7 @@ class TestEpsilonForConcept:
         c = ff.company(1)
         kg.add_triple(Triple(c, RDF_TYPE_T, Term.iri(ff.cls("Company"))), 0.9)
         kg.add_triple(Triple(c, ff.prop("companyName"), Term.literal("x")), 0.8)
-        inc = epsilon_for_concept(kg, domain_schema, ff.cls("Company"))
+        inc = concept_epsilon(kg, domain_schema, ff.cls("Company"))
         assert inc.epsilon_c == 0
 
 
@@ -374,4 +387,59 @@ class TestOkgConcepts:
             0.9,
         )
         kg.add_triple(Triple(iri("e"), RDF_TYPE_T, iri("Company")), 0.9)
-        assert okg_concepts(kg) == {"http://example.org/Company"}
+        assert list(concept_slices(kg)) == ["http://example.org/Company"]
+
+
+def brute_force_slices(kg: KnowledgeGraph) -> dict[str, list[Triple]]:
+    """Each concept's slice re-derived: its descendants-or-self by fixpoint
+    over the graph's subclass edges, then every non-schema statement whose
+    subject is typed one of them, sorted."""
+    types = [
+        (t.subject, t.object.value)
+        for t in kg.triples()
+        if t.predicate.value == RDF_TYPE and t.object.is_iri
+    ]
+    edges = kg.subclass_edges()
+    out = {}
+    for concept in sorted({c for _, c in types} - META_CLASSES):
+        members = {concept}
+        while True:
+            extra = {child for child, parent in edges if parent in members} - members
+            if not extra:
+                break
+            members |= extra
+        instances = {e for e, c in types if c in members}
+        out[concept] = sorted(
+            (t for t in kg.triples()
+             if t.subject in instances and t.predicate.value not in SCHEMA_PREDICATES),
+            key=Triple.sort_key,
+        )
+    return out
+
+
+class TestConceptSlices:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_slices_match_brute_force(self, seed):
+        kg, _ = ff.consistency_fixture(seed)
+        assert concept_slices(kg) == brute_force_slices(kg)
+
+    def test_chain_multi_typed_and_untyped(self):
+        # C < B < A; e3 is typed A and D; u is typed nothing
+        kg = KnowledgeGraph()
+        for child, parent in (("C", "B"), ("B", "A")):
+            kg.add_triple(Triple(iri(child), Term.iri(RDFS_SUBCLASS_OF), iri(parent)), 0.9)
+        for e, c in (("e1", "C"), ("e2", "B"), ("e3", "A"), ("e3", "D")):
+            kg.add_triple(Triple(iri(e), RDF_TYPE_T, iri(c)), 0.9)
+        about = {
+            e: Triple(iri(e), iri("p"), iri(o))
+            for e, o in (("e1", "u"), ("e2", "e1"), ("e3", "e2"), ("u", "e3"))
+        }
+        for t in about.values():
+            kg.add_triple(t, 0.8)
+        slices = concept_slices(kg)
+        assert slices == {
+            iri(c).value: [about[e] for e in members]
+            for c, members in (("A", ["e1", "e2", "e3"]), ("B", ["e1", "e2"]), ("C", ["e1"]),
+                               ("D", ["e3"]))
+        }
+        assert slices == brute_force_slices(kg)

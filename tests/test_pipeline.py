@@ -13,10 +13,10 @@ import pytest
 import yaml
 
 import fixture_factory as ff
-from ontogen import cleaning, completion, correction, pipeline, refinement
+from ontogen import cleaning, completion, consistency, correction, pipeline, refinement
 from ontogen.cli import build_parser, main as cli_main
 from ontogen.completion import TrainConfig
-from ontogen.model import KnowledgeGraph, Term, Triple
+from ontogen.model import RDF_TYPE, KnowledgeGraph, Term, Triple
 from ontogen.refinement import RefineConfig
 from ontogen.rdf_io import parse_ntriples, render_triple
 from test_refinement import _typed_island_graph
@@ -176,6 +176,20 @@ class TestValidate:
             pipeline.run(config)
         assert caught.value.diagnostics == expected
         assert forked == [] and not config.output_dir.exists()
+
+    @pytest.mark.parametrize("key", ["reference_axioms", "domain_ontology", "reference_facts",
+                                     "train_extra"])
+    def test_undecodable_input_names_its_file(self, key, pipeline_fixture_dir, tmp_path):
+        config = _demo_copy(pipeline_fixture_dir, tmp_path)
+        config.train_extra = tmp_path / "extra.tsv"
+        config.train_extra.write_text(f"{ff.EX}a\t{MARRIED}\t{ff.EX}b\n", "utf-8")
+        path = getattr(config, key)
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + b"\xff\xfe\n")
+        [diagnostic] = pipeline.validate(config)
+        where = f"{path}:2: " if key == "train_extra" else f"{path}: "
+        assert diagnostic.startswith(f"{key}: {where}")
+        assert "decode byte 0xff" in diagnostic
 
     def test_run_refuses_invalid_config(self, pipeline_config_path, tmp_path):
         config = pipeline.PipelineConfig.from_file(pipeline_config_path)
@@ -635,6 +649,68 @@ class TestRefinePhase:
         pipeline.run(pipeline.PipelineConfig.from_file(tmp_path / "pipeline.yaml"))
         report = json.loads((tmp_path / "out" / "reports" / "refine.json").read_text())
         assert self.SKIPPED in report["notes"]
+
+
+class TestOneDerivation:
+    """Each graph phase derives its output with one `without`, and `map`
+    reads the store as often for any number of concepts."""
+
+    def test_each_graph_phase_derives_its_output_once(self, fortune, reference_schema,
+                                                      domain_schema, monkeypatch):
+        calls = []
+        without = KnowledgeGraph.without
+
+        def spy(kg, *args, **kwargs):
+            calls.append(kg)
+            return without(kg, *args, **kwargs)
+
+        monkeypatch.setattr(KnowledgeGraph, "without", spy)
+        train = TrainConfig(dimension=3, epochs=2, predict_relations=frozenset({FOCUS}))
+        steps = {
+            "refine": lambda kg: pipeline.refine_phase(kg, reference_schema, RefineConfig()),
+            "correct": lambda kg: pipeline.correct_phase(
+                kg, reference_schema, correction.CorrectionConfig(functional=frozenset({FOCUS})),
+                parse_ntriples(fortune.reference_facts_nt.encode())[0]),
+            "complete": lambda kg: pipeline.complete_phase(kg, train),
+            "map": lambda kg: pipeline.map_phase(kg, domain_schema),
+        }
+        kg = ff.fortune_kg(fortune)
+        for phase, step in steps.items():
+            calls.clear()
+            out, report = step(kg)
+            assert len(calls) == 1 and calls[0] is kg, phase
+            assert out != kg, phase
+            kg = out
+
+    @staticmethod
+    def _typed_graph(concepts: int) -> KnowledgeGraph:
+        kg = KnowledgeGraph()
+        rdf_type = Term.iri(RDF_TYPE)
+        for i in range(40):
+            e = ff.iri(f"{ff.EX}e{i}")
+            kg.add_triple(Triple(e, rdf_type, Term.iri(ff.cls(f"C{i % concepts}"))), 0.9)
+            kg.add_triple(Triple(e, ff.prop("rank"), Term.literal(str(i))), 0.8)
+        return kg
+
+    def test_map_reads_the_data_statements_as_often_for_any_concept_count(
+        self, domain_schema, monkeypatch
+    ):
+        reads = []
+        data = KnowledgeGraph.data_statements
+
+        def spy(kg):
+            reads.append(kg)
+            return data.fget(kg)
+
+        monkeypatch.setattr(KnowledgeGraph, "data_statements", property(spy))
+        counts = []
+        for concepts in (2, 20):
+            kg = self._typed_graph(concepts)
+            reads.clear()
+            _, report = consistency.map_to_domain(kg, domain_schema)
+            assert len(report.per_concept) == concepts
+            counts.append(len(reads))
+        assert counts[0] == counts[1]
 
 
 class TestCorrectPhase:

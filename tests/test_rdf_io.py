@@ -18,7 +18,6 @@ from ontogen.rdf_io import (
     parse_turtle,
     render_term,
     serialize_ntriples,
-    serialize_scored_jsonl,
 )
 
 iri_values = st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True).map(
@@ -351,12 +350,18 @@ class TestScoredJsonl:
         sts = [
             ScoredTriple(Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.literal("v")), 0.5, "x1"),
             ScoredTriple(Triple(Term.blank("b0"), Term.iri("urn:p"), Term.iri("urn:c")), 0.25),
+            ScoredTriple(Triple(Term.iri("urn:c"), Term.iri("urn:q"), Term.literal("7")), 1.0, "x3"),
         ]
-        parsed, diags = parse_scored_jsonl(serialize_scored_jsonl(sts))
+        data = (
+            b'{"conf": 0.5, "id": "x1", "o": "v", "o_kind": "literal", "p": "urn:p", "s": "urn:a"}\n'
+            b'{"conf": 0.25, "o": "urn:c", "o_kind": "iri", "p": "urn:p", "s": "_:b0"}\n'
+            b'{"conf": 1.0, "id": "x3", "o": "7", "o_kind": "literal", "p": "urn:q", "s": "urn:c"}\n'
+        )
+        parsed, diags = parse_scored_jsonl(data)
         assert not diags
-        assert {(s.triple, s.confidence, s.source_id) for s in parsed} == {
+        assert [(s.triple, s.confidence, s.source_id) for s in parsed] == [
             (s.triple, s.confidence, s.source_id) for s in sts
-        }
+        ]
 
 
 class TestLineFraming:

@@ -304,10 +304,16 @@ def _typed_island_graph() -> KnowledgeGraph:
     return kg
 
 
+def _prune(kg: KnowledgeGraph):
+    """`prune_disconnected` on all of kg's statements, with kg less its removals."""
+    nodes, dropped = prune_disconnected(kg.statements())
+    return kg.without(st.triple for st in dropped), nodes, dropped
+
+
 class TestPruneDisconnected:
     def test_fully_connected_unchanged(self):
         kg = _context_graph(10)
-        pruned, removed, dropped = prune_disconnected(kg)
+        pruned, removed, dropped = _prune(kg)
         assert removed == [] and dropped == []
         assert pruned == kg
 
@@ -315,7 +321,7 @@ class TestPruneDisconnected:
         kg = _context_graph(50)
         kg.add(st_triple("islandA", "rel", "islandB", 0.9))
         kg.add_triple(Triple(iri("islandA"), Term.iri(RDF_TYPE), iri("Thing")), 0.9)
-        pruned, removed, _ = prune_disconnected(kg)
+        pruned, removed, _ = _prune(kg)
         assert {n.value for n in removed} == {
             "http://example.org/islandA",
             "http://example.org/islandB",
@@ -328,7 +334,7 @@ class TestPruneDisconnected:
         kg = _context_graph(30)
         kg.add(st_triple("x", "rel", "y", 0.9))
         before = {s.triple for s in kg.data_statements}
-        pruned, removed, _ = prune_disconnected(kg)
+        pruned, removed, _ = _prune(kg)
         main = {s.triple for s in pruned.data_statements}
         assert main <= before
         assert all(t.subject.value.endswith(("x", "y")) or t.object.value.endswith(("x", "y"))
@@ -338,7 +344,7 @@ class TestPruneDisconnected:
         kg = KnowledgeGraph()
         kg.add(st_triple("zeta1", "p", "zeta2", 0.9))
         kg.add(st_triple("alpha1", "p", "alpha2", 0.9))
-        pruned, removed, _ = prune_disconnected(kg)
+        pruned, removed, _ = _prune(kg)
         assert iri("alpha1") in {s.triple.subject for s in pruned.data_statements}
         assert iri("zeta1") in set(removed)
 
@@ -347,7 +353,7 @@ class TestPruneDisconnected:
         for s, o in (("x", "y"), ("y", "z"), ("u", "v")):
             kg.add(st_triple(s, "rel", o, 0.9))
         kg.add_triple(Triple(iri("x"), Term.iri(RDF_TYPE), iri("Thing")), 0.9)
-        pruned, removed, dropped = prune_disconnected(kg)
+        pruned, removed, dropped = _prune(kg)
         after = set(pruned.data_statements)
         data_dropped = [st for st in dropped if st.triple.predicate.value != RDF_TYPE]
         assert data_dropped == [st for st in kg.data_statements if st not in after]
@@ -357,7 +363,7 @@ class TestPruneDisconnected:
 
     def test_typed_island_returns_edges_and_types(self):
         kg = _typed_island_graph()
-        pruned, removed, dropped = prune_disconnected(kg)
+        pruned, removed, dropped = _prune(kg)
         rdf_type = Term.iri(RDF_TYPE)
         assert [st.triple for st in dropped] == [
             Triple(iri("isleA"), iri("rel"), iri("isleB")),
@@ -387,7 +393,7 @@ class TestImplausibleLinks:
         kg = self._typed_graph()
         odd = st_triple("p0", "sameAs", "book", 0.8)
         kg.add(odd)
-        flagged = implausible_links(kg, None)
+        flagged = implausible_links(kg.data_statements, kg.class_map(), None)
         assert [f.statement.triple for f in flagged] == [odd.triple]
         assert flagged[0].count == 1
 
@@ -395,14 +401,14 @@ class TestImplausibleLinks:
         kg = KnowledgeGraph()
         for i in range(20):
             kg.add(st_triple(f"s{i}", f"p{i}", f"o{i}", 0.8))
-        assert implausible_links(kg, None) == []
+        assert implausible_links(kg.data_statements, kg.class_map(), None) == []
 
     def test_planted_rare_combos_exactly_flagged(self):
         kg = self._typed_graph()
         planted = [st_triple(f"p{i}", "sameAs", "book", 0.8) for i in range(1)]
         for st_ in planted:
             kg.add(st_)
-        flagged = implausible_links(kg, None)
+        flagged = implausible_links(kg.data_statements, kg.class_map(), None)
         assert {f.statement.triple for f in flagged} == {s.triple for s in planted}
 
 

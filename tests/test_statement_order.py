@@ -1,21 +1,14 @@
 """The statement lists and candidate orders each phase emits are filters of
 the graph's canonical list.  Each test compares a phase's output with the
 form it had when the phase sorted its own output: `sorted(...)` by
-`Triple.sort_key` or `Term.sort_key`, and a concept's statements gathered
-instance by instance."""
+`Triple.sort_key` or `Term.sort_key`."""
 
 import numpy as np
 import pytest
 
 import fixture_factory as ff
 from ontogen.completion import EmbeddingModel, predict_missing
-from ontogen.consistency import (
-    _concept_slice,
-    _in_vocabulary,
-    _instances_of,
-    map_to_domain,
-    okg_concepts,
-)
+from ontogen.consistency import _in_vocabulary, map_to_domain
 from ontogen.correction import CorrectionConfig, correct
 from ontogen.model import (
     RDF_TYPE,
@@ -24,7 +17,6 @@ from ontogen.model import (
     OntologySchema,
     Term,
     Triple,
-    is_schema_triple,
 )
 from ontogen.refinement import prune_disconnected
 
@@ -83,19 +75,6 @@ def _random_model(kg: KnowledgeGraph, seed: int) -> EmbeddingModel:
     )
 
 
-def test_concept_slice_is_each_sorted_instance_s_statements():
-    for name, kg in _graphs():
-        for c in sorted(okg_concepts(kg)):
-            statements = kg.statements()
-            expected = [
-                st.triple
-                for e in sorted(_instances_of(kg, c), key=Term.sort_key)
-                for st in statements
-                if st.triple.subject == e and not is_schema_triple(st.triple)
-            ]
-            assert _concept_slice(kg, c) == expected, (name, c)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_map_removed_triples_are_sorted_removals(seed):
     for kg, on in (ff.consistency_fixture(seed), (ff.correction_fixture(seed)[0], ff.domain_schema())):
@@ -119,7 +98,7 @@ def test_correction_lists_are_sorted(seed):
 
 def test_prune_disconnected_lists_sorted_removals():
     for name, kg in _graphs():
-        _, nodes, removed = prune_disconnected(kg)
+        nodes, removed = prune_disconnected(kg.statements())
         gone = set(nodes)
         expected = [
             st for st in kg.data_statements
@@ -127,7 +106,7 @@ def test_prune_disconnected_lists_sorted_removals():
         ]
         expected += (st for st in kg.with_predicate(RDF_TYPE) if st.triple.subject in gone)
         assert removed == sorted(expected, key=lambda st: st.triple.sort_key()), name
-    assert len(prune_disconnected(_island_graph())[2]) == 6
+    assert len(prune_disconnected(_island_graph().statements())[1]) == 6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
