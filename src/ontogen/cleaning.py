@@ -63,14 +63,22 @@ _TRAILING_PUNCT = "\"')]}»"
 
 
 class CleanError(ValueError):
-    """Undecodable or unreadable document."""
+    """Undecodable or unreadable document or list file, or a bad setting."""
 
 
-def read_list(source) -> list[str]:
+def read_list(source, check=lambda entry: None) -> list[str]:
     """The stripped lines of a UTF-8 text file (a path or a package
-    resource) that are neither blank nor `#` comments."""
-    lines = (line.strip() for line in source.read_text("utf-8").splitlines())
-    return [line for line in lines if line and not line.startswith("#")]
+    resource) that are neither blank nor `#` comments.  A line that does
+    not decode, or that `check` rejects, fails as `<source>:<line>: ...`."""
+    entries = []
+    for number, raw in enumerate(source.read_bytes().split(b"\n"), 1):
+        try:
+            if (line := raw.decode("utf-8").strip()) and not line.startswith("#"):
+                check(line)
+                entries.append(line)
+        except ValueError as exc:
+            raise CleanError(f"{source}:{number}: {exc}") from None
+    return entries
 
 
 @lru_cache(maxsize=1)
@@ -89,8 +97,10 @@ class CleanConfig:
     def __post_init__(self) -> None:
         if self.format is not None and self.format not in _CLEANERS:
             raise CleanError(f"format must be one of {', '.join(_CLEANERS)}, got {self.format!r}")
-        # tokens are matched against lowercased text
+        # entries are matched against lowercased words, so each must be one word
         object.__setattr__(self, "denylist", frozenset(w.lower() for w in self.denylist))
+        if bad := sorted(w for w in self.denylist if w.split() != [w]):
+            raise CleanError(f"denylist: {bad[0]!r} is not one word")
 
 
 _FORMAT_BY_EXT = {

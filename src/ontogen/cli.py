@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,9 @@ def _render(counts: dict) -> str:
 
 def _finish(phase: str, kg, report: dict, out: str | None, report_path: str | None) -> int:
     """Save the phase's graph to `out` and its report to `report_path`
-    (each if given) and print `<phase>: <counts>`."""
+    (each if given), print its `notes` to stderr and `<phase>: <counts>`."""
+    for note in report.get("notes", ()):
+        print(f"note: {note}", file=sys.stderr)
     print(f"{phase}: {_render(pipeline.save_phase(phase, kg, report, out, report_path))}")
     return EXIT_OK
 
@@ -44,13 +47,15 @@ def _setting(convert):
     return parse
 
 
-def _config(args, section: str, cls, **list_files):
+def _config(args, section: str, cls, list_file: str | None = None):
     """`cls` from the flags given that name its fields, built by
-    `pipeline.phase_config` as `run` builds it.  A flag named in
-    `list_files` gives a file, read by the function given there."""
+    `pipeline.phase_config` as `run` builds it.  The flag `list_file`
+    names a file of entries, each checked as `cls` checks one."""
     given = {name: getattr(args, name, None) for name in inspect.signature(cls).parameters}
     opts = {k: v for k, v in given.items() if v is not None}
-    opts.update((k, sorted(read(Path(opts[k])))) for k, read in list_files.items() if k in opts)
+    if list_file in opts:
+        opts[list_file] = sorted(pipeline.read_input(
+            cleaning.read_list, opts[list_file], lambda entry: cls(**{list_file: [entry]})))
     return pipeline.phase_config(section, cls, opts)
 
 
@@ -59,46 +64,45 @@ def _config(args, section: str, cls, **list_files):
 # keeps the field's default), read the input, run the phase, `_finish`
 
 def _cmd_clean(args) -> int:
-    cfg = _config(args, "clean", cleaning.CleanConfig, denylist=cleaning.read_list)
+    cfg = _config(args, "clean", cleaning.CleanConfig, "denylist")
+    pipeline.read_input(os.listdir, args.in_dir)  # as `run` checks `corpus_dir`
     report = pipeline.clean_phase(Path(args.in_dir), Path(args.out_dir), cfg)
     return _finish("clean", None, report, None, None)
 
 
 def _cmd_ingest(args) -> int:
-    kg, report = pipeline.ingest_phase(Path(args.in_file))
+    kg, report = pipeline.read_input(pipeline.ingest_phase, args.in_file)
     return _finish("ingest", kg, report, args.out, args.report)
 
 
 def _cmd_refine(args) -> int:
     cfg = _config(args, "refine", refinement.RefineConfig)
-    kg, _ = pipeline.ingest_phase(Path(args.in_file))
-    schema = pipeline.load_ontology(Path(args.schema)) if args.schema else None
+    kg, _ = pipeline.read_input(pipeline.ingest_phase, args.in_file)
+    schema = pipeline.read_input(pipeline.load_ontology, args.schema) if args.schema else None
     kg, report = pipeline.refine_phase(kg, schema, cfg)
     return _finish("refine", kg, report, args.out, args.report)
 
 
 def _cmd_correct(args) -> int:
-    cfg = _config(args, "correct", correction.CorrectionConfig, functional=cleaning.read_list)
-    kg = pipeline.read_graph(Path(args.in_file))
-    reference = pipeline.load_ontology(Path(args.axioms))
-    facts = pipeline.read_ntriples(Path(args.reference)) if args.reference else ()
+    cfg = _config(args, "correct", correction.CorrectionConfig, "functional")
+    kg = pipeline.read_input(pipeline.read_graph, args.in_file)
+    reference = pipeline.read_input(pipeline.load_ontology, args.axioms)
+    facts = pipeline.read_input(pipeline.read_ntriples, args.reference) if args.reference else ()
     kg, report = pipeline.correct_phase(kg, reference, cfg, facts)
     return _finish("correct", kg, report, args.out, args.report)
 
 
 def _cmd_complete(args) -> int:
-    cfg = _config(args, "complete", completion.TrainConfig, predict_relations=cleaning.read_list)
-    kg = pipeline.read_graph(Path(args.in_file))
-    extra = completion.load_tsv(Path(args.train_extra)) if args.train_extra else ()
+    cfg = _config(args, "complete", completion.TrainConfig, "predict_relations")
+    kg = pipeline.read_input(pipeline.read_graph, args.in_file)
+    extra = pipeline.read_input(completion.load_tsv, args.train_extra) if args.train_extra else ()
     kg, report = pipeline.complete_phase(kg, cfg, extra, model_out=args.model_out)
-    for note in report["notes"]:
-        print(note, file=sys.stderr)
     return _finish("complete", kg, report, args.out, args.metrics)
 
 
 def _cmd_map(args) -> int:
-    kg = pipeline.read_graph(Path(args.in_file))
-    kg, report = pipeline.map_phase(kg, pipeline.load_ontology(Path(args.domain)))
+    kg = pipeline.read_input(pipeline.read_graph, args.in_file)
+    kg, report = pipeline.map_phase(kg, pipeline.read_input(pipeline.load_ontology, args.domain))
     return _finish("map", kg, report, args.out, args.report)
 
 
@@ -113,24 +117,24 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load(path: Path) -> dict:
-    """The JSON object in `path`, or {} when there is no such file."""
-    return json.loads(path.read_text("utf-8")) if path.is_file() else {}
+def _load(path: Path, missing: dict | None = None) -> dict:
+    """The JSON object in `path`, read by `pipeline.read_input`, or
+    `missing`, when given, if there is no such file."""
+    if missing is not None and not path.is_file():
+        return missing
+    return pipeline.read_input(lambda p: json.loads(p.read_text("utf-8")), path)
 
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.is_file():
-        print(f"no manifest at {manifest_path}", file=sys.stderr)
-        return EXIT_VALIDATION
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    timing = _load(run_dir / "timing.json")
+    manifest = _load(run_dir / "manifest.json")
+    timing = _load(run_dir / "timing.json", {})
+    reports = {phase: _load(run_dir / "reports" / f"{phase}.json", {}) for phase in pipeline.PHASES}
     print(f"run {manifest['config_hash'][:12]} (seed {manifest['seed']})")
     for phase in pipeline.PHASES:
         seconds = f"{timing[phase]:.3f}s" if phase in timing else "?"
         print(f"  {phase:<9} {seconds:>8}  {_render(manifest['phases'].get(phase, {}))}")
-        for note in _load(run_dir / "reports" / f"{phase}.json").get("notes", []):
+        for note in reports[phase].get("notes", []):
             print(f"      note: {note}")
     if timing:
         print("  (clean ran beside the graph phases; total is wall clock, not their sum)")

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import terms_agree
-from .model import (
-    KnowledgeGraph, META_CLASSES, ModelError, ScoredTriple, Term, Triple, is_schema_triple,
-)
+from .model import KnowledgeGraph, META_CLASSES, ScoredTriple, Term, Triple, is_schema_triple
 from .rdf_io import parse_term, render_term
 
 _ADAGRAD_EPS = 1e-10
@@ -63,11 +61,8 @@ class TrainConfig:
             raise CompletionError(f"holdout must be in [0, 1), got {self.holdout}")
         if self.top_k < 1:
             raise CompletionError(f"top_k must be >= 1, got {self.top_k}")
-        try:
-            for r in self.predict_relations:
-                Term.iri(r)
-        except ModelError as exc:
-            raise CompletionError(f"predict_relations: {exc}") from None
+        for r in self.predict_relations:
+            Term.iri(r)  # an item that is not an IRI raises
 
 
 @dataclass
@@ -539,7 +534,7 @@ def predict_missing(
     the threshold are emitted, with source id "completion".  Equal scores
     rank the lower entity row first: rows are numbered in `Term.sort_key`
     order (a trained model's vocabulary, kept by `load_model`), so ties
-    fall to the smaller sort key.
+    fall to the smaller sort key.  A relation with no model row is skipped.
     """
     class_map = kg.class_map()
     all_subjects = dict.fromkeys(st.triple.subject for st in kg.data_statements)
@@ -550,6 +545,8 @@ def predict_missing(
 
     out: list[ScoredTriple] = []
     for rel in sorted(candidate_relations, key=Term.sort_key):
+        if rel not in model.relation_index:
+            continue
         r = model.relation_row(rel)
         observed = _observed(kg, rel)
         subjects = {t.subject for t in observed}
@@ -587,8 +584,8 @@ def agreement_rates(
     """Per relation, the share of subjects whose existing object agrees
     (by `correction.terms_agree`) with the model's best tail among the
     relation's observed objects, ties to the lower row.  A subject with
-    several objects compares its first in canonical order.  None when no
-    model-covered subject or object is observed."""
+    several objects compares its first in canonical order.  None when the
+    model has no row for the relation or covers no observed subject or object."""
     rates: dict[str, float | None] = {}
     entities = model.entities
     for rel in relations:
@@ -599,7 +596,7 @@ def agreement_rates(
             if t.object in model.entity_index:
                 allowed[model.entity_index[t.object]] = True
         subjects = [s for s in existing if s in model.entity_index]
-        if not (subjects and allowed.any()):
+        if not (subjects and allowed.any() and rel in model.relation_index):
             rates[rel.value] = None
             continue
         r = model.relation_row(rel)

@@ -27,6 +27,10 @@ class CorrectionConfig:
     #: object values at least this similar to the reference value do not conflict
     sim_threshold: float = 0.8
 
+    def __post_init__(self) -> None:
+        for p in self.functional:
+            Term.iri(p)  # an item that is not an IRI raises
+
 
 @dataclass(frozen=True)
 class DisjointnessEvidence:

@@ -26,7 +26,6 @@ import yaml
 from . import cleaning, completion, consistency, correction, refinement
 from .model import KnowledgeGraph, OntologySchema, Term, Triple, ontology_from_triples
 from .rdf_io import (
-    ParseError,
     parse_ntriples,
     parse_scored_jsonl,
     parse_turtle,
@@ -143,11 +142,7 @@ class PipelineConfig:
         options field `_SECTIONS` names, `complete.train_extra` to its path
         field, relative paths resolve against the file's directory, and no
         value is converted."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh) or {}
-        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-            raise ValidationError([f"{path}: {exc}"]) from None
+        raw = read_input(lambda p: yaml.safe_load(p.read_text("utf-8")), path) or {}
         if not isinstance(raw, dict):
             raise ValidationError([f"{path}: config must be a mapping"])
         given = {key: raw[key] for key in ("seed", *_PATHS) if key in raw}
@@ -203,13 +198,10 @@ class PipelineConfig:
 
 
 def _parse_or_raise(path: Path, parse):
-    try:
-        triples, diags = parse(path.read_bytes())
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    triples, diags = parse(path.read_bytes())
     if diags:
         first = diags[0]
-        raise ValueError(f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)")
+        raise ValidationError([f"{path}:{first.line}: {first.message} (+{len(diags) - 1} more)"])
     return triples
 
 
@@ -233,6 +225,18 @@ def read_graph(path: Path) -> KnowledgeGraph:
     return kg
 
 
+def read_input(read, path, *args):
+    """`read(Path(path), *args)` for an input file.  A file that is missing or
+    that `read` rejects fails as a ValidationError naming the file:
+    `<path>:<line>: ...` as the reader names the line, else `<path>: ...`."""
+    path = Path(path)
+    try:
+        return read(path, *args)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        why = (exc.strerror or str(exc)) if isinstance(exc, OSError) else str(exc)
+        raise ValidationError([why if why.startswith(f"{path}:") else f"{path}: {why}"]) from None
+
+
 def write_graph(path: Path, kg: KnowledgeGraph) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(serialize_ntriples(kg.triples()))
@@ -245,33 +249,26 @@ def write_json(path: Path, payload: dict) -> None:
 
 def _check(config: PipelineConfig) -> tuple[list[str], dict]:
     """The config's diagnostics, an empty list when it is runnable, and the
-    inputs read before any phase runs, by key, each read once: the
-    `reference_axioms` and `domain_ontology` schemas and, when given, the
-    `reference_facts` and `train_extra` triples.  A file that is missing or
-    does not parse is a diagnostic."""
+    inputs read before any phase runs, by key, each read once through
+    `read_input`: the two ontologies' schemas and, when given, the
+    `reference_facts` and `train_extra` triples.  `scored_triples` and
+    `corpus_dir`, which their phases read, need only open."""
     out: list[str] = []
-    for name in ("scored_triples", "reference_axioms", "domain_ontology", "reference_facts",
-                 "train_extra"):
-        path = getattr(config, name)
-        if path is not None and not Path(path).is_file():
-            out.append(f"{name}: no such file: {path}")
-    if config.corpus_dir is not None and not Path(config.corpus_dir).is_dir():
-        out.append(f"corpus_dir: no such directory: {config.corpus_dir}")
+    inputs = {}
+    for name, read in (("scored_triples", lambda p: p.open("rb").close()),
+                       ("corpus_dir", lambda p: os.scandir(p).close()),
+                       ("reference_axioms", load_ontology), ("domain_ontology", load_ontology),
+                       ("reference_facts", read_ntriples), ("train_extra", completion.load_tsv)):
+        if (path := getattr(config, name)) is not None:
+            try:
+                inputs[name] = read_input(read, path)
+            except ValidationError as exc:
+                out.append(f"{name}: {exc}")
 
     try:
         config.phase_configs()
     except ValidationError as exc:
         out += exc.diagnostics
-
-    inputs = {}
-    for name, read in (("reference_axioms", load_ontology), ("domain_ontology", load_ontology),
-                       ("reference_facts", read_ntriples), ("train_extra", completion.load_tsv)):
-        path = getattr(config, name)
-        if path is not None and Path(path).is_file():
-            try:
-                inputs[name] = read(Path(path))
-            except ValueError as exc:
-                out.append(f"{name}: {exc}")
     return out, inputs
 
 
@@ -376,7 +373,8 @@ def complete_phase(
     `cfg.holdout` > 0 that fraction of the pool is held out of training
     and ranked (filtered MRR and Hits@k).
     Training is skipped when the pool is empty, or when there is nothing
-    to predict, score or save to `model_out`."""
+    to predict, score or save to `model_out`; a relation without training
+    statements is noted and not predicted."""
     report: dict = {"predictions": [], "notes": []}
     predictions: list = []
     relations = [Term.iri(r) for r in sorted(cfg.predict_relations)]
@@ -404,6 +402,8 @@ def complete_phase(
                 "evaluated": metrics.evaluated,
             }
         predictions = completion.predict_missing(model, kg, relations, cfg.threshold, cfg.top_k)
+        report["notes"] += [f"no training statement uses <{r.value}>; prediction skipped"
+                            for r in relations if r not in model.relation_index]
         report["agreement"] = completion.agreement_rates(model, kg, relations, sim_threshold)
         report["trained_on"] = len(train_split)
         report["entities"] = len(model.entity_index)

@@ -1,11 +1,11 @@
 """On-disk formats: an N-Triples subset, a read-only Turtle subset, the
 line-delimited scored-triple ingestion format, and DOT export.
 
-Parsers never raise on malformed content; bad lines become diagnostics and
-are skipped.  The one hard error is input that does not decode as UTF-8.
-Every reader frames its input the same way: lines end at "\n" (one "\r"
-before it is dropped), and are decoded one at a time, so a Unicode line
-separator inside a literal or JSON string stays part of its line.
+Parsers never raise on malformed content; bad lines, a line that does not
+decode as UTF-8 among them, become diagnostics and are skipped.  Every
+reader frames its input the same way: lines end at "\n" (one "\r" before
+it is dropped), and are decoded one at a time, so a Unicode line separator
+inside a literal or JSON string stays part of its line.
 
 Each parse call interns its terms: every distinct (kind, value, datatype,
 language) becomes one `Term`, shared by all the statements that use it.
@@ -25,7 +25,7 @@ from .model import KnowledgeGraph, ModelError, ScoredTriple, Term, Triple, RDF_T
 
 
 class ParseError(ValueError):
-    """Unrecoverable parse failure (non-UTF-8 input, bad single term)."""
+    """Unrecoverable parse failure of a single term."""
 
 
 @dataclass(frozen=True)
@@ -150,24 +150,15 @@ def _interner():
     return term
 
 
-def _decode(data: bytes, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
-
-
-def _lines(data: bytes, what: str) -> Iterator[tuple[int, str]]:
+def _lines(data: bytes, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, str]]:
     """The numbered lines of `data`: split on b"\n" only, one trailing "\r"
-    dropped, each decoded as UTF-8 on its own.  Undecodable input raises the
-    `_decode` error for all of `data`, so its offset counts from the start."""
+    dropped, each decoded as UTF-8 on its own.  A line that does not decode
+    is appended to `diagnostics` and skipped."""
     for lineno, raw in enumerate(io.BytesIO(data), start=1):
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            _decode(data, what)
-            raise
-        yield lineno, line.removesuffix("\n").removesuffix("\r")
+            yield lineno, raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
+        except UnicodeDecodeError as exc:
+            diagnostics.append(Diagnostic(lineno, f"not valid UTF-8: {exc}"))
 
 
 def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
@@ -175,7 +166,7 @@ def parse_ntriples(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     triples: list[Triple] = []
     diagnostics: list[Diagnostic] = []
     term = _interner()
-    for lineno, line in _lines(data, "N-Triples input"):
+    for lineno, line in _lines(data, diagnostics):
         line = line.rstrip("\r")  # an N-Triples line end is any run of \r and \n
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -257,7 +248,7 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     pending: list[tuple[int, re.Match]] = []
     term = _interner()
-    spoiled = False
+    mark = 0  # the number of diagnostics when the pending statement began
 
     def expand(tok: re.Match, lineno: int) -> Term | None:
         token = tok.group(0)
@@ -277,17 +268,14 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
         diagnostics.append(Diagnostic(lineno, f"cannot interpret token {token!r}"))
         return None
 
-    def stray(text: str, lineno: int) -> bool:
-        """Whether `text`, found between tokens, is more than blanks; if so
-        it is reported."""
-        text = text.strip()
-        if text:
+    def stray(text: str, lineno: int) -> None:
+        """Report `text`, found between tokens, unless it is blank."""
+        if text := text.strip():
             diagnostics.append(Diagnostic(lineno, f"unexpected text {text!r}"))
-        return bool(text)
 
     def flush(skip: bool) -> None:
-        """Add the pending statement, unless `skip` (stray text inside it
-        was already reported)."""
+        """Add the pending statement, unless `skip` (a diagnostic, stray
+        text or an undecodable line, was reported while it was pending)."""
         tokens = [tok for _, tok in pending]
         first_line = pending[0][0] if pending else 0
         pending.clear()
@@ -305,7 +293,9 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
         except (ModelError, ParseError) as exc:
             diagnostics.append(Diagnostic(first_line, str(exc)))
 
-    for lineno, raw in _lines(data, "Turtle input"):
+    for lineno, raw in _lines(data, diagnostics):
+        if not pending:  # what was reported before a statement does not spoil it
+            mark = len(diagnostics)
         line = _TTL_BEFORE_COMMENT.match(raw).group(0).strip()
         if not line:
             continue
@@ -315,15 +305,14 @@ def parse_turtle(data: bytes) -> tuple[list[Triple], list[Diagnostic]]:
             continue
         pos = 0
         for m in _TTL_TOKEN.finditer(line):
-            spoiled |= stray(line[pos : m.start()], lineno)
+            stray(line[pos : m.start()], lineno)
             pos = m.end()
             if m.group(0) == ".":
-                flush(spoiled)
-                spoiled = False
+                flush(len(diagnostics) > mark)
+                mark = len(diagnostics)
             else:
                 pending.append((lineno, m))
-        # text after a line's last "." spoils no statement
-        spoiled = (stray(line[pos:], lineno) or spoiled) and bool(pending)
+        stray(line[pos:], lineno)
     if pending:
         diagnostics.append(Diagnostic(pending[0][0], "statement not terminated by '.'"))
         pending.clear()
@@ -343,7 +332,7 @@ def parse_scored_jsonl(data: bytes) -> tuple[list[ScoredTriple], list[Diagnostic
     out: list[ScoredTriple] = []
     diagnostics: list[Diagnostic] = []
     term = _interner()
-    for lineno, line in _lines(data, "scored-triple input"):
+    for lineno, line in _lines(data, diagnostics):
         if not line.strip():
             continue
         try:

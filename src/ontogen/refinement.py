@@ -9,7 +9,6 @@ whole phase only ever removes statements.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,8 +17,6 @@ import numpy as np
 
 from .model import RDF_TYPE, KnowledgeGraph, OntologySchema, ScoredTriple, Term, Triple
 from .model import connected_components, is_schema_triple
-
-log = logging.getLogger(__name__)
 
 #: local reachability density cap for duplicate-point degeneracies
 LRD_CAP = 1e12
@@ -261,14 +258,11 @@ def validate_band(
     order: those scoring above the LOF threshold against a context pool
     drawn from `kg`'s data statements above the band.
 
-    A band no larger than k cannot be scored and is kept with a warning.
+    A band no larger than k cannot be scored and is kept (`refine` notes it).
     """
-    if not band:
+    if len(band) <= cfg.lof_k:
         return []
     band = sorted(band, key=lambda s: s.triple.sort_key())
-    if len(band) <= cfg.lof_k:
-        log.warning("band of %d statements <= lof_k=%d; keeping all", len(band), cfg.lof_k)
-        return []
 
     # band statements are never rdf:type (threshold_filter keeps every schema
     # statement), so kg's class map is also that of kg without the band

@@ -18,7 +18,7 @@ from ontogen.cli import build_parser, main as cli_main
 from ontogen.completion import TrainConfig
 from ontogen.model import RDF_TYPE, KnowledgeGraph, Term, Triple
 from ontogen.refinement import RefineConfig
-from ontogen.rdf_io import parse_ntriples, render_triple
+from ontogen.rdf_io import parse_ntriples, render_triple, serialize_ntriples
 from test_refinement import _typed_island_graph
 
 
@@ -65,6 +65,13 @@ MALFORMED_SETTINGS = [
                  id="functional-scalar"),
     pytest.param("clean", lambda src, tmp: _run_with(src, tmp, "clean", {"denylist": "ads"}),
                  id="denylist-scalar"),
+    # a list entry that could never match: not an IRI, not one word
+    pytest.param("correct",
+                 lambda src, tmp: _run_with(src, tmp, "correct", {"functional": ["not an iri"]}),
+                 id="functional-not-an-iri"),
+    pytest.param("clean",
+                 lambda src, tmp: _run_with(src, tmp, "clean", {"denylist": ["two words"]}),
+                 id="denylist-not-one-word"),
     pytest.param("refine", lambda src, tmp: [
         "refine", "--in", str(src / "triples.jsonl"), "--out", str(tmp / "out" / "kg.nt"),
         "--report", str(tmp / "out" / "refine.json"), "--low", "0.7", "--high", "0.5",
@@ -187,9 +194,9 @@ class TestValidate:
         first = path.read_bytes().splitlines(keepends=True)[0]
         path.write_bytes(first + b"\xff\xfe\n")
         [diagnostic] = pipeline.validate(config)
-        where = f"{path}:2: " if key == "train_extra" else f"{path}: "
-        assert diagnostic.startswith(f"{key}: {where}")
-        assert "decode byte 0xff" in diagnostic
+        # every file reports the bad line, its offset counted from the line's start
+        assert diagnostic.startswith(f"{key}: {path}:2: ")
+        assert "decode byte 0xff in position 0" in diagnostic
 
     def test_run_refuses_invalid_config(self, pipeline_config_path, tmp_path):
         config = pipeline.PipelineConfig.from_file(pipeline_config_path)
@@ -477,6 +484,11 @@ def _assert_reaped(pids: list[int]) -> None:
         os.waitpid(pids[0], os.WNOHANG)
 
 
+def _broken_ingest(*args):
+    """An `ingest_phase` that fails: a graph phase failure for `run`."""
+    raise ValueError("ingest broke")
+
+
 def _demo_copy(src: Path, tmp: Path) -> pipeline.PipelineConfig:
     """The demo config over a copy of its inputs in `tmp/work`, trained
     for one epoch, output under `tmp/out`."""
@@ -530,12 +542,14 @@ class TestForkedClean:
         assert not (tmp_path / "out" / "manifest.json").exists()
         _assert_reaped(forked)
 
-    def test_graph_failure_waits_for_the_whole_clean(self, tmp_path, pipeline_fixture_dir, forked):
+    def test_graph_failure_waits_for_the_whole_clean(self, tmp_path, pipeline_fixture_dir, forked,
+                                                     monkeypatch):
         config = _demo_copy(pipeline_fixture_dir, tmp_path)
-        config.scored_triples.write_bytes(b"caf\xe9 \xff\xfe\n")
+        monkeypatch.setattr(pipeline, "ingest_phase", _broken_ingest)
         with pytest.raises(pipeline.PhaseError) as caught:
             pipeline.run(config)
         assert caught.value.phase == "ingest"
+        assert str(caught.value.cause) == "ingest broke"
         _assert_reaped(forked)
         expected = tmp_path / "expected"
         cleaning.clean_directory(config.corpus_dir, expected, config.phase_configs()["clean"])
@@ -556,7 +570,7 @@ class TestForkedClean:
     def test_clean_failure_comes_before_a_graph_failure(self, tmp_path, pipeline_fixture_dir,
                                                         forked, monkeypatch):
         config = _demo_copy(pipeline_fixture_dir, tmp_path)
-        config.scored_triples.write_bytes(b"caf\xe9 \xff\xfe\n")
+        monkeypatch.setattr(pipeline, "ingest_phase", _broken_ingest)
         monkeypatch.setattr(pipeline, "clean_phase", lambda *args: os._exit(3))
         with pytest.raises(pipeline.PhaseError) as caught:
             pipeline.run(config)
@@ -583,6 +597,135 @@ class TestForkedClean:
         value, seconds = pipeline._join("clean", *pipeline._fork(lambda: big))
         assert value == big and seconds >= 0
         _assert_reaped(forked)
+
+
+#: an input file's kind -> (a line that parses, a line that does not)
+LINES = {
+    "nt": (b"<urn:a> <urn:p> <urn:b> .", b"<urn:a> <urn:p> ."),
+    "ttl": (b"<urn:a> <urn:p> <urn:b> .", b"<urn:a> <urn:p> ."),
+    "tsv": (b"urn:a\turn:p\turn:b", b"urn:a\turn:p"),
+    "iri": (FOCUS.encode(), b"not an iri"),
+    "word": (b"ads", b"two words"),
+}
+
+# each input-file flag: (its subcommand's argv, given the demo fixture
+# directory, a scratch directory and the file under test; the file's kind;
+# the `run` config key that reads the same kind of file, or None)
+FILE_FLAGS = {
+    "refine --schema": (lambda src, tmp, f: [
+        "refine", "--in", str(src / "triples.jsonl"), "--schema", f,
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "ttl", "reference_axioms"),
+    "correct --axioms": (lambda src, tmp, f: [
+        "correct", "--in", str(src / "reference_facts.nt"), "--axioms", f,
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "ttl", "reference_axioms"),
+    "correct --reference": (lambda src, tmp, f: [
+        "correct", "--in", str(src / "reference_facts.nt"),
+        "--axioms", str(src / "reference_axioms.ttl"), "--reference", f,
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "nt", "reference_facts"),
+    "correct --functional": (lambda src, tmp, f: [
+        "correct", "--in", str(src / "reference_facts.nt"),
+        "--axioms", str(src / "reference_axioms.ttl"), "--functional", f,
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "iri", None),
+    "correct --in": (lambda src, tmp, f: [
+        "correct", "--in", f, "--axioms", str(src / "reference_axioms.ttl"),
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "nt", None),
+    "complete --train-extra": (lambda src, tmp, f: [
+        "complete", "--in", str(src / "reference_facts.nt"), "--train-extra", f,
+        "--out", str(tmp / "out" / "kg.nt")],
+        "tsv", "train_extra"),
+    "complete --predict-relations": (lambda src, tmp, f: [
+        "complete", "--in", str(src / "reference_facts.nt"), "--predict-relations", f,
+        "--out", str(tmp / "out" / "kg.nt")],
+        "iri", None),
+    "complete --in": (lambda src, tmp, f: [
+        "complete", "--in", f, "--out", str(tmp / "out" / "kg.nt")],
+        "nt", None),
+    "clean --denylist": (lambda src, tmp, f: [
+        "clean", "--in", str(src / "corpus"), "--out", str(tmp / "out"), "--denylist", f],
+        "word", None),
+    "map --domain": (lambda src, tmp, f: [
+        "map", "--in", str(src / "reference_facts.nt"), "--domain", f,
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "ttl", "domain_ontology"),
+    "map --in": (lambda src, tmp, f: [
+        "map", "--in", f, "--domain", str(src / "domain_ontology.ttl"),
+        "--out", str(tmp / "out" / "kg.nt"), "--report", str(tmp / "out" / "r.json")],
+        "nt", None),
+}
+
+
+class TestInputFiles:
+    """Every input file a flag names fails the same way: a missing file, or
+    a line that does not decode or parse, exits 1 with one `invalid
+    config:` line naming the file (and the line), before any output, and
+    a file `run` reads through a config key gives `run` the same text."""
+
+    @pytest.mark.parametrize("case", ["missing", "undecodable", "unparsable"])
+    @pytest.mark.parametrize("flag", list(FILE_FLAGS))
+    def test_bad_input_file(self, flag, case, tmp_path, pipeline_config_path, capsys):
+        argv, kind, key = FILE_FLAGS[flag]
+        good, bad = LINES[kind]
+        path = tmp_path / f"input.{'txt' if kind in ('iri', 'word') else kind}"
+        if case != "missing":
+            path.write_bytes(good + b"\n" + (b"\xff\xfe" if case == "undecodable" else bad) + b"\n")
+        assert cli_main(argv(pipeline_config_path.parent, tmp_path, str(path))) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("invalid config: ")
+        text = line.removeprefix("invalid config: ")
+        assert text.startswith(f"{path}: " if case == "missing" else f"{path}:2: "), text
+        assert not (tmp_path / "out").exists()
+        if key is not None:
+            config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+            setattr(config, key, path)
+            assert pipeline.validate(config) == [f"{key}: {text}"]
+
+    def test_an_ontology_that_does_not_validate_names_its_file(self, tmp_path,
+                                                              pipeline_config_path, capsys):
+        path = tmp_path / "cycle.ttl"
+        path.write_text("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                        "<urn:A> rdfs:subClassOf <urn:B> .\n<urn:B> rdfs:subClassOf <urn:A> .\n",
+                        encoding="utf-8")
+        argv, _, key = FILE_FLAGS["map --domain"]
+        assert cli_main(argv(pipeline_config_path.parent, tmp_path, str(path))) == 1
+        text = f"{path}: subclass cycle through 'urn:A'"
+        assert capsys.readouterr().err == f"invalid config: {text}\n"
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        config.domain_ontology = path
+        assert pipeline.validate(config) == [f"{key}: {text}"]
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.write_text("", encoding="utf-8"), "Not a directory"),
+    ], ids=["missing", "a-file"])
+    def test_a_bad_corpus_directory_is_named(self, make, reason, tmp_path,
+                                             pipeline_config_path, capsys):
+        corpus = tmp_path / "corpus"
+        make(corpus)
+        assert cli_main(["clean", "--in", str(corpus), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"invalid config: {corpus}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+        config = pipeline.PipelineConfig.from_file(pipeline_config_path)
+        config.corpus_dir = corpus
+        assert pipeline.validate(config) == [f"corpus_dir: {corpus}: {reason}"]
+
+    def test_ingest_keeps_every_decodable_record(self, tmp_path, pipeline_fixture_dir):
+        lines = (pipeline_fixture_dir / "triples.jsonl").read_bytes().splitlines(keepends=True)
+        path = tmp_path / "triples.jsonl"
+        path.write_bytes(b"".join([*lines[:2], b'{"s": "caf\xe9"}\n', *lines[2:]]))
+        assert cli_main(["ingest", "--in", str(path), "--out", str(tmp_path / "kg.nt"),
+                         "--report", str(tmp_path / "ingest.json")]) == 0
+        report = json.loads((tmp_path / "ingest.json").read_text())
+        assert report["records"] == len(lines)
+        assert report["diagnostics"] == [{"line": 3, "message": "not valid UTF-8: 'utf-8' codec "
+                                          "can't decode byte 0xe9 in position 10: invalid "
+                                          "continuation byte"}]
+        kg, _ = pipeline.ingest_phase(pipeline_fixture_dir / "triples.jsonl")
+        assert (tmp_path / "kg.nt").read_bytes() == serialize_ntriples(kg.triples())
 
 
 class TestRunHoldout:
@@ -776,6 +919,40 @@ class TestCompletePhase:
         assert twice["predicted_count"] == once["predicted_count"] > 0
         assert twice["predictions"] == once["predictions"]
 
+    def test_a_relation_nothing_uses_is_noted_not_predicted(self):
+        # no statement of the graph uses `unused`, so the model has no row
+        # for it: the other relation is predicted as if it were alone
+        kg = KnowledgeGraph()
+        for t in ff.kinship_triples():
+            kg.add_triple(t, 0.9)
+        unused = ff.EX + "unusedRelation"
+        reports = []
+        for listed in ({MARRIED}, {MARRIED, unused}):
+            cfg = TrainConfig(dimension=4, epochs=3, predict_relations=frozenset(listed),
+                              threshold=-1.0)
+            reports.append(pipeline.complete_phase(kg, cfg)[1])
+        alone, both = reports
+        assert both["notes"] == [f"no training statement uses <{unused}>; prediction skipped"]
+        assert both["predictions"] == alone["predictions"] and alone["predicted_count"] > 0
+        assert both["agreement"] == {**alone["agreement"], unused: None}
+
+    def test_a_relation_whose_statements_are_all_held_out_is_noted_not_predicted(self):
+        kg = KnowledgeGraph()
+        for t in ff.kinship_triples(n_families=1):
+            kg.add_triple(t, 0.9)
+        rare = Triple(Term.iri(ff.EX + "x1"), Term.iri(ff.EX + "rareRelation"),
+                      Term.iri(ff.EX + "x2"))
+        kg.add_triple(rare, 0.9)
+        pool = completion.training_triples(kg)
+        seed = next(s for s in range(100) if rare in completion.split_holdout(pool, 0.5, s)[1])
+        cfg = TrainConfig(dimension=4, epochs=1, seed=seed, holdout=0.5, threshold=-1.0,
+                          predict_relations=frozenset({rare.predicate.value}))
+        out, report = pipeline.complete_phase(kg, cfg)
+        assert report["notes"] == [
+            f"no training statement uses <{rare.predicate.value}>; prediction skipped"]
+        assert report["agreement"] == {rare.predicate.value: None}
+        assert report["predicted_count"] == 0 and len(out) == len(kg)
+
 
 class TestCli:
     def test_phase_subcommands_compose(self, tmp_path, pipeline_fixture_dir, pipeline_run, capsys):
@@ -944,6 +1121,27 @@ class TestCli:
             assert line.endswith("  " + ", ".join(f"{k}={v}" for k, v in counts))
         assert any("clean ran beside the graph phases" in ln for ln in lines)
 
+    def test_report_names_a_missing_or_bad_input_file(self, tmp_path, capsys):
+        # the files `report` reads are input files like any other: exit 1,
+        # one line naming the file, nothing printed before it
+        manifest = tmp_path / "manifest.json"
+        assert cli_main(["report", "--run-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"invalid config: {manifest}: No such file or directory\n")
+        (tmp_path / "reports").mkdir()
+        good = json.dumps({"config_hash": "ab" * 32, "seed": 7, "phases": {}})
+        files = (manifest, tmp_path / "timing.json", tmp_path / "reports" / "map.json")
+        for bad in files:
+            for path in files:
+                path.write_text(good, encoding="utf-8")
+            bad.write_bytes(b"{\n\xff")
+            assert cli_main(["report", "--run-dir", str(tmp_path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"invalid config: {bad}: 'utf-8' codec"), err
+            bad.write_text("{\n", encoding="utf-8")
+            assert cli_main(["report", "--run-dir", str(tmp_path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"invalid config: {bad}: Expecting property"), err
+
     def test_report_prints_each_phase_notes_under_it(self, tmp_path, capsys):
         reports = tmp_path / "reports"
         reports.mkdir()
@@ -982,18 +1180,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid config: {path}: ") and message in err
 
-    def test_phase_failure_exit_code(self, tmp_path, pipeline_fixture_dir):
-        # scored triples that do not decode as UTF-8 pass every check made
-        # before the phases run and fail inside ingest -> exit 2
-        src = pipeline_fixture_dir
-        work = tmp_path / "work"
-        shutil.copytree(src, work)
-        (work / "triples.jsonl").write_bytes(b"caf\xe9 \xff\xfe\n")
-        raw = yaml.safe_load((work / "pipeline.yaml").read_text())
-        raw["output_dir"] = str(tmp_path / "out")
-        cfg = work / "pipeline.yaml"
-        cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
-        assert cli_main(["run", "--config", str(cfg)]) == 2
+    def test_phase_failure_exit_code(self, tmp_path, pipeline_fixture_dir, monkeypatch, capsys):
+        # a config that passes every check made before the phases run, and
+        # a graph phase that fails -> exit 2
+        monkeypatch.setattr(pipeline, "ingest_phase", _broken_ingest)
+        assert cli_main(_run_with(pipeline_fixture_dir, tmp_path, "seed", 42)) == 2
+        assert capsys.readouterr().err == "phase 'ingest' failed: ingest broke\n"
 
     @pytest.mark.parametrize("section, argv", MALFORMED_SETTINGS)
     def test_malformed_setting_is_a_validation_failure(

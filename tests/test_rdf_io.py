@@ -130,9 +130,11 @@ class TestNTriples:
         assert objs[2] == Term.literal("tagged", language="en")
         assert objs[3].value == 'esc "q" \n \t \\ é'
 
-    def test_non_utf8_is_hard_error(self):
-        with pytest.raises(ParseError):
-            parse_ntriples(b"\xff\xfe<urn:a> <urn:b> <urn:c> .")
+    def test_non_utf8_line_is_a_diagnostic(self):
+        parsed, diags = parse_ntriples(b"\xff\xfe<urn:a> <urn:b> <urn:c> .\n<urn:a> <urn:b> <urn:d> .")
+        assert parsed == [iri_triple("urn:a", "urn:b", Term.iri("urn:d"))]
+        assert diags == [Diagnostic(1, "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 0: invalid start byte")]
 
     def test_serializer_deterministic_and_order_independent(self):
         a = Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.iri("urn:b"))
@@ -399,20 +401,34 @@ class TestLineFraming:
         ]
         assert diags == [Diagnostic(4, "expected 3 terms per statement, got 2")]
 
-    @pytest.mark.parametrize("parse, what", [
-        (parse_ntriples, "N-Triples input"),
-        (parse_turtle, "Turtle input"),
-        (parse_scored_jsonl, "scored-triple input"),
-    ])
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle, parse_scored_jsonl])
     # a bad lead byte, a sequence cut short by the line end, an encoded surrogate
     @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xed\xa0\x80"])
-    def test_undecodable_line_raises_the_whole_input_error(self, parse, what, bad):
-        data = b"# one\n# two\n# x" + bad + b"\n# after\n"
-        with pytest.raises(UnicodeDecodeError) as whole:
-            data.decode("utf-8")
-        with pytest.raises(ParseError) as err:
-            parse(data)
-        assert str(err.value) == f"{what} is not valid UTF-8: {whole.value}"
+    def test_undecodable_line_is_a_diagnostic(self, parse, bad):
+        good = (b'{"s": "urn:a", "p": "urn:p", "o": "urn:b", "o_kind": "iri", "conf": 1}'
+                if parse is parse_scored_jsonl else b"<urn:a> <urn:p> <urn:b> .")
+        # the line's own decode error, its offset counted from the line start
+        with pytest.raises(UnicodeDecodeError) as line_error:
+            (b'"x' + bad + b'"').decode("utf-8")
+        data = b"\n".join([good, b"", b"", b'"x' + bad + b'"', good.replace(b"urn:b", b"urn:c")])
+        parsed, diags = parse(data)
+        assert [getattr(t, "triple", t).object.value for t in parsed] == ["urn:b", "urn:c"]
+        assert diags == [Diagnostic(4, f"not valid UTF-8: {line_error.value}")]
+
+    def test_an_undecodable_line_spoils_the_turtle_statement_it_falls_in(self):
+        parsed, diags = parse_turtle(b"<urn:a> <urn:p>\n\xff\n<urn:b> .\n<urn:c> <urn:p> <urn:d> .\n")
+        assert parsed == [iri_triple("urn:c", "urn:p", Term.iri("urn:d"))]
+        assert [d.line for d in diags] == [2]
+
+    def test_a_report_spoils_only_the_turtle_statement_pending_at_it(self):
+        # stray text at the end of a line inside a statement spoils it; stray
+        # text after a line's last "." and an undecodable line between
+        # statements spoil neither neighbour
+        parsed, diags = parse_turtle(b"<urn:a> <urn:p> junk\n<urn:b> .\n"
+                                     b"<urn:c> <urn:p> <urn:d> . junk\n\xff\n"
+                                     b"<urn:e> <urn:p> <urn:f> .\n")
+        assert [t.object.value for t in parsed] == ["urn:d", "urn:f"]
+        assert [d.line for d in diags] == [1, 3, 4]
 
 
 class TestScratchMemory:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -256,13 +257,25 @@ class TestValidateBand:
     def test_empty_band(self):
         assert validate_band([], _context_graph(), RefineConfig()) == []
 
-    def test_small_band_kept_with_warning(self, caplog):
+    def test_small_band_kept_with_warning(self, tmp_path, capsys):
+        # the warning is refine's note, which the `refine` subcommand
+        # prints to stderr once, as it prints any phase's notes
+        from ontogen.cli import main as cli_main
+
         kg = _context_graph()
         band = [st_triple("b0", "knows", "b1", 0.4)]
-        with caplog.at_level("WARNING"):
-            removed = validate_band(band, kg, RefineConfig())
-        assert removed == []
-        assert any("lof_k" in r.message for r in caplog.records)
+        assert validate_band(band, kg, RefineConfig()) == []
+        kg.add(band[0])
+        note = "band of 1 statements <= lof_k=5; LOF skipped"
+        assert refine(kg, None, RefineConfig())[1].notes == [note]
+        records = tmp_path / "triples.jsonl"
+        records.write_text("".join(
+            json.dumps({"s": st.triple.subject.value, "p": st.triple.predicate.value,
+                        "o": st.triple.object.value, "o_kind": "iri", "conf": st.confidence}) + "\n"
+            for st in kg.statements()), encoding="utf-8")
+        assert cli_main(["refine", "--in", str(records), "--out", str(tmp_path / "kg.nt"),
+                         "--report", str(tmp_path / "refine.json")]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"note: {note}"]
 
     def test_band_matching_population_kept(self):
         kg = _context_graph()
